@@ -9,6 +9,11 @@ Subcommands:
 * scan         enumerate a family, cross-check predictions, verify witnesses
 * verify       re-verify a witness file produced by scan
 
+A scan builds every family item once, in the parent process, and checks
+each through one function, _scan_item, whatever the worker count.  With
+--workers k > 1 only the checking and brute force are split: each of the k
+worker processes gets one contiguous chunk of the items.
+
 Exit codes: 0 ok, 1 mismatches found, 2 configuration error.
 """
 
@@ -23,19 +28,18 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dfield
+from itertools import repeat
 from typing import Optional
 
 from .gf import (
     DEFAULT_BRUTE_BOUND,
     FieldError,
-    FieldTooLarge,
     HARD_BRUTE_CAP,
     mk_field,
     mk_tower,
 )
 from .poly import Poly
 from .cpp_core import (
-    CppWitness,
     VERIFIED_BRUTE,
     cpp_exponent,
     goodness,
@@ -44,7 +48,7 @@ from .cpp_core import (
     witness_from_json,
     witnesses_from_good,
 )
-from .families import FamilyItem, FamilySkip, enumerate_family
+from .families import FamilySkip, enumerate_family
 
 
 @dataclass
@@ -59,7 +63,6 @@ class ScanConfig:
     workers: int = 1
     out: Optional[str] = None
     fmt: str = "json"
-    path: Optional[str] = None
 
     def validate(self) -> None:
         if self.brute_bound > HARD_BRUTE_CAP:
@@ -94,14 +97,15 @@ class ScanReport:
         return 1 if self.mismatches else 0
 
 
-def _params_key(params) -> tuple:
-    return (params.tag, params.n, tuple(sorted(
-        (k, tuple(v) if isinstance(v, list) else v)
-        for k, v in params.params.items())))
+def _scan_item(item, tower, brute_bound: int) -> dict:
+    """Check one enumerated item: its skip, or its verdicts and witnesses.
 
-
-def _process_item(item: FamilyItem, tower, brute_bound: int):
-    """Cross-check one constructed item and extract witnesses."""
+    A FamilyItem's prediction is cross-checked against goodness(); a good g
+    of degree n + 1 yields its witnesses, brute-forced within the bound, and
+    its predicted roots (when the family gives them) are compared with them.
+    """
+    if isinstance(item, FamilySkip):
+        return {"skip": {"params": item.params.params, "reason": item.reason}}
     out = {"witnesses": [], "mismatches": [], "predicted": item.predicted_good,
            "verified_cpp": 0}
     rep = goodness(item.g)
@@ -121,16 +125,13 @@ def _process_item(item: FamilyItem, tower, brute_bound: int):
     ws = witnesses_from_good(item.g, tower, brute_bound,
                              family=item.params.tag,
                              params=dict(item.params.params), report=rep)
-    if item.predicted_roots is not None and item.predicted_roots:
-        pr_ctx = item.predicted_roots[0].ctx
-        if pr_ctx is tower:
-            pred = sorted(e.val for e in item.predicted_roots)
-            got = sorted(w.b for w in ws)
-            if pred != got:
-                out["mismatches"].append({
-                    "kind": "PredictedRootMismatch",
-                    "params": item.params.params,
-                })
+    if item.predicted_roots and item.predicted_roots[0].ctx is tower:
+        pred = sorted(e.val for e in item.predicted_roots)
+        if pred != sorted(w.b for w in ws):
+            out["mismatches"].append({
+                "kind": "PredictedRootMismatch",
+                "params": item.params.params,
+            })
     for w in ws:
         if w.verified == VERIFIED_BRUTE and not w.passed:
             out["mismatches"].append({
@@ -144,34 +145,12 @@ def _process_item(item: FamilyItem, tower, brute_bound: int):
     return out
 
 
-def _scan_chunk(payload: dict) -> list:
-    """Worker entry: rebuild the context and process a parameter slice."""
-    base = mk_field(payload["p"], payload["m"])
-    n = payload["n"]
-    tower = None
-    if n is not None and base.order ** n <= 2 ** 63:
-        try:
-            tower = mk_tower(base, n)
-        except FieldError:
-            tower = None
-    results = []
-    idx = set(payload["indices"])
-    for i, item in enumerate(enumerate_family(payload["family"], base, n,
-                                              payload.get("ranges") or {})):
-        if i not in idx:
-            continue
-        if isinstance(item, FamilySkip):
-            results.append((i, {"skip": {"params": item.params.params,
-                                         "reason": item.reason}}))
-            continue
-        res = _process_item(item, tower, payload["brute_bound"])
-        res["witness_json"] = [w.to_json() for w in res.pop("witnesses")]
-        results.append((i, res))
-    return results
-
-
 def run_scan(config: ScanConfig) -> ScanReport:
-    """Enumerate a family, cross-check every prediction, verify witnesses."""
+    """Enumerate a family, cross-check every prediction, verify witnesses.
+
+    Items are built once, here in the parent; --workers splits only their
+    checking and brute force, one contiguous chunk of items per worker.
+    """
     config.validate()
     t0 = time.time()
     base = mk_field(config.p, config.m)
@@ -185,30 +164,14 @@ def run_scan(config: ScanConfig) -> ScanReport:
     witnesses: list = []
     mismatches: list = []
     skips: list = []
+    args = (_scan_item, items, repeat(tower), repeat(config.brute_bound))
     if config.workers == 1:
-        payload_results = []
-        for i, item in enumerate(items):
-            if isinstance(item, FamilySkip):
-                payload_results.append((i, {"skip": {"params": item.params.params,
-                                                     "reason": item.reason}}))
-            else:
-                res = _process_item(item, tower, config.brute_bound)
-                res["witness_json"] = [w.to_json() for w in res.pop("witnesses")]
-                payload_results.append((i, res))
+        results = list(map(*args))
     else:
-        chunks = [list(range(w, len(items), config.workers))
-                  for w in range(config.workers)]
-        payloads = [{
-            "p": config.p, "m": config.m, "n": n, "family": config.family,
-            "ranges": config.ranges, "brute_bound": config.brute_bound,
-            "indices": chunk,
-        } for chunk in chunks if chunk]
-        payload_results = []
+        chunk = max(1, math.ceil(len(items) / config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for part in pool.map(_scan_chunk, payloads):
-                payload_results.extend(part)
-        payload_results.sort(key=lambda t: t[0])
-    for _, res in payload_results:
+            results = list(pool.map(*args, chunksize=chunk))
+    for res in results:
         if "skip" in res:
             counts["skipped"] += 1
             skips.append(res["skip"])
@@ -220,7 +183,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             counts["refuted"] += 1
         counts["verifiedCpp"] += res["verified_cpp"]
         mismatches.extend(res["mismatches"])
-        witnesses.extend(witness_from_json(j) for j in res["witness_json"])
+        witnesses.extend(res["witnesses"])
     witnesses.sort(key=lambda w: (w.family, sorted(w.params.items()), w.b))
     report = ScanReport(
         config={"command": "scan", "p": config.p, "m": config.m, "n": n,

@@ -43,13 +43,10 @@ from .poly import (
     ZeroPolynomial,
     factorize,
     Factorization,
-    gcd as poly_gcd,
-    pow_mod,
     roots_in,
     squarefree_part,
-    _ctx_seed,
+    _pdivmod,
     _pgcd,
-    _pmod,
     _ppow_mod,
     _psub_x,
 )
@@ -285,8 +282,7 @@ def orbit_structure(f: Poly, with_reps: bool = False) -> list:
 
 
 def _divisors(n: int) -> list:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _orbit_reps(ctx: Fq, w_polys: dict, s: int) -> list:
@@ -317,7 +313,6 @@ def _orbit_reps(ctx: Fq, w_polys: dict, s: int) -> list:
 
 
 def _pdiv_exact(ctx: Context, a: list, b: list) -> list:
-    from .poly import _pdivmod
     q, r = _pdivmod(ctx, a, b)
     assert not r
     return q

@@ -56,7 +56,7 @@ from .poly import (
     pow_mod,
     roots_in,
 )
-from .cpp_core import v_poly
+from .cpp_core import _divisors, v_poly
 
 
 class NotPrimeDegree(FieldError):
@@ -639,10 +639,6 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def enumerate_family(tag: str, base: Fq, n: Optional[int] = None,

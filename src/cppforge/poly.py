@@ -535,8 +535,6 @@ class Factorization:
     factors: tuple  # ((Poly monic irreducible, multiplicity), ...)
 
     def expand(self) -> Poly:
-        if not self.factors:
-            ctx = None
         ctx = self.factors[0][0].ctx if self.factors else None
         if ctx is None:
             raise ZeroPolynomial("cannot expand an empty factorization without context")

@@ -1,6 +1,13 @@
 """Scan orchestration: which items reach witness extraction."""
 
+import json
+from dataclasses import replace
+
+import pytest
+
+from cppforge import cli
 from cppforge.cli import ScanConfig, main, run_scan
+from cppforge.gf import FqElem
 
 
 class TestScanDegreeGuard:
@@ -16,3 +23,63 @@ class TestScanDegreeGuard:
     def test_d_lin2_scan_exits_0(self):
         assert main(["scan", "--p", "2", "--m", "4", "--family", "D_lin2",
                      "--n", "3"]) == 0
+
+
+# GF((2^3)^4): A1 with e = 0 is one ZeroShift skip; its three items give 12
+# witnesses.  A2 gives 56 items and 210 brute-forced witnesses.
+A1_CASE = dict(p=2, m=3, n=4, family="A1", ranges={"e": [0, 1, 2, 3]})
+A2_CASE = dict(p=2, m=3, n=4, family="A2")
+
+
+def _report_json(report) -> dict:
+    out = report.to_json()
+    del out["timingSec"]
+    del out["config"]["workers"]
+    return out
+
+
+class TestSerialParallelAgreement:
+    @pytest.mark.parametrize("case, skipped, items, verified",
+                             [(A1_CASE, 1, 3, 12), (A2_CASE, 0, 56, 210)],
+                             ids=["A1", "A2"])
+    def test_one_and_two_workers_agree(self, case, skipped, items, verified):
+        serial = run_scan(ScanConfig("scan", workers=1, **case))
+        parallel = run_scan(ScanConfig("scan", workers=2, **case))
+        assert _report_json(serial) == _report_json(parallel)
+        assert serial.mismatches == []
+        assert serial.counts["skipped"] == skipped
+        assert serial.counts["constructed"] == items
+        assert len(serial.witnesses) == serial.counts["verifiedCpp"] == verified
+
+
+class TestPredictedRootMismatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shifted_root_is_reported(self, monkeypatch, workers):
+        enumerate_family = cli.enumerate_family
+
+        def shifted(*args, **kwargs):
+            for item in enumerate_family(*args, **kwargs):
+                if getattr(item, "predicted_roots", None):
+                    r0, *rest = item.predicted_roots
+                    moved = FqElem(r0.ctx, (r0.val + 1) % r0.ctx.order)
+                    item = replace(item, predicted_roots=(moved, *rest))
+                yield item
+
+        monkeypatch.setattr(cli, "enumerate_family", shifted)
+        report = run_scan(ScanConfig("scan", workers=workers, **A2_CASE))
+        kinds = [m["kind"] for m in report.mismatches]
+        assert kinds == ["PredictedRootMismatch"] * 56
+
+
+class TestWitnessFileRoundTrip:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_scan_then_verify(self, tmp_path, fmt):
+        scanned = tmp_path / f"witnesses.{fmt}"
+        verified = tmp_path / "verify.json"
+        assert main(["scan", "--p", "2", "--m", "3", "--n", "4",
+                     "--family", "A1", "--range", '{"e": [0, 1, 2, 3]}',
+                     "--format", fmt, "--out", str(scanned)]) == 0
+        assert main(["verify", str(scanned), "--out", str(verified)]) == 0
+        report = json.loads(verified.read_text())
+        assert report["counts"]["verifiedCpp"] == 12
+        assert report["mismatches"] == []

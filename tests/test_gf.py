@@ -1,5 +1,6 @@
 """Field contexts, arithmetic, and the named maps."""
 
+import os
 import random
 import subprocess
 import sys
@@ -103,9 +104,12 @@ class TestMkField:
         code = ("import json; from cppforge import gf; "
                 "print(json.dumps([gf.mk_field(3,2).modulus, "
                 "gf.mk_tower(gf.mk_field(5,1),2).ext_modulus]))")
-        out1 = subprocess.run([sys.executable, "-c", code],
+        # the child imports cppforge from where this process found it
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(gf.__file__)))
+        out1 = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True).stdout
-        out2 = subprocess.run([sys.executable, "-c", code],
+        out2 = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True).stdout
         assert out1 == out2
         assert out1.strip() == "[[1, 0, 1], [2, 0, 1]]"
