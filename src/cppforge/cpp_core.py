@@ -6,11 +6,13 @@ over GF(q) are the roots of v_g(x) = (g(-x) - g(0))/(-x) for a suitable
 degree-(n+1) permutation polynomial g over GF(q) whose roots of v_g form a
 single Frobenius orbit; such g are called good.  This module provides:
 
-* v_g and the goodness report (gate conditions plus single-orbit test via the
-  factorization of v_g);
+* v_g and the goodness report (gate conditions plus the single-orbit test,
+  read off the orbit sizes that the distinct-degree split of the radical of
+  v_g gives);
 * brute-force permutation / complete-permutation oracles, vectorised over the
   whole field through exp/log tables;
-* a factorization-free orbit oracle based on Frobenius fixed-point counts;
+* the Frobenius orbit structure of the roots of a polynomial, from the same
+  split, with least-element orbit representatives on request;
 * extraction and verification of witness elements b from a good g;
 * the scaling normalisation h(x) = c g(c' x) + e and a heuristic
   multi-extension permutation probe.
@@ -30,25 +32,16 @@ from .gf import (
     DEFAULT_BRUTE_BOUND,
     FieldError,
     FieldTooLarge,
-    Fq,
     FqElem,
     Tower,
     as_int,
-    factor_int,
     mk_tower,
 )
 from .poly import (
     ConstantPolynomial,
     Poly,
-    ZeroPolynomial,
-    factorize,
-    Factorization,
+    orbit_split,
     roots_in,
-    squarefree_part,
-    _pdivmod,
-    _pgcd,
-    _ppow_mod,
-    _psub_x,
 )
 
 
@@ -191,7 +184,7 @@ ROOT_IN_BASE_FIELD = "RootInBaseField"
 class GoodnessReport:
     g: Poly
     vg: Poly
-    factorization: Factorization
+    radical: Poly           # monic; irreducible exactly when g is good
     orbit_sizes: tuple
     is_good: bool
     reason: str
@@ -200,122 +193,54 @@ class GoodnessReport:
 def goodness(g: Poly) -> GoodnessReport:
     """Gate conditions plus the single-Frobenius-orbit test on v_g.
 
-    Good means g(0) = 0, g'(0) != 0, and the squarefree part of v_g is
-    irreducible over the coefficient field (equivalently the distinct roots
-    of v_g form one orbit under x -> x^q).
+    Good means g(0) = 0, g'(0) != 0, and the distinct roots of v_g form one
+    orbit under x -> x^q (equivalently the radical of v_g is irreducible over
+    the coefficient field).  The orbit sizes come from the distinct-degree
+    split of the radical; v_g is never factored completely.
     """
     if g.degree < 2:
         raise ConstantPolynomial("need degree >= 2")
     vg = v_poly(g)
-    fac = factorize(vg) if not vg.is_zero() else Factorization(1, ())
-    orbit_sizes = fac.distinct_degrees
+    radical, parts = orbit_split(vg)
+    orbit_sizes = tuple(d for d, part in parts for _ in range(part.degree // d))
     if g.coeff(0) != 0:
-        return GoodnessReport(g, vg, fac, orbit_sizes, False, G_ZERO_NONZERO)
+        return GoodnessReport(g, vg, radical, orbit_sizes, False, G_ZERO_NONZERO)
     if vg.coeff(0) == 0:
         # v_g(0) is g'(0) exactly
-        return GoodnessReport(g, vg, fac, orbit_sizes, False, G_PRIME_ZERO)
-    if len(fac.factors) == 1:
-        return GoodnessReport(g, vg, fac, orbit_sizes, True, GOOD)
-    reason = ROOT_IN_BASE_FIELD if any(f.degree == 1 for f, _ in fac.factors) \
-        else MULTIPLE_ORBITS
-    return GoodnessReport(g, vg, fac, orbit_sizes, False, reason)
+        return GoodnessReport(g, vg, radical, orbit_sizes, False, G_PRIME_ZERO)
+    if len(orbit_sizes) == 1:
+        return GoodnessReport(g, vg, radical, orbit_sizes, True, GOOD)
+    reason = ROOT_IN_BASE_FIELD if orbit_sizes[0] == 1 else MULTIPLE_ORBITS
+    return GoodnessReport(g, vg, radical, orbit_sizes, False, reason)
 
 
 # ---------------------------------------------------------------------------
-# orbit oracle (factorization-free)
-
-
-def _mobius(n: int) -> int:
-    mu = 1
-    for _, e in factor_int(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
+# orbit structure
 
 
 def orbit_structure(f: Poly, with_reps: bool = False) -> list:
     """Frobenius orbit sizes of the distinct roots of f, with representatives.
 
-    The count of roots fixed by the r-th Frobenius power is read off the
-    degree of gcd(rad f, x^(q^r) - x); exact orbit-size counts follow by
-    Moebius inversion over the divisor lattice.  No factorization is used.
-    With with_reps=True one representative root per orbit is extracted in the
-    tower GF(q^s) and orbits are walked explicitly.
+    The sizes come from the distinct-degree split of the radical of f: a part
+    of degree-d irreducibles holds deg(part)/d orbits of size d.  With
+    with_reps=True the roots of each part are found in GF(q^d) and the least
+    root of each orbit is its representative.
 
     Returns a sorted list of (orbit_size, representative FqElem or None).
     """
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    if f.degree < 1:
-        raise ConstantPolynomial("need degree >= 1")
     ctx = f.ctx
-    rad = list(squarefree_part(f).coeffs)
-    nroots = len(rad) - 1
-    q = ctx.order
-    counts = {}
-    w_polys = {}
-    h = [0, 1]
-    assigned = 0
-    exact = {}
-    r = 0
-    while assigned < nroots:
-        r += 1
-        h = _ppow_mod(ctx, h, q, rad)
-        w = _pgcd(ctx, rad, _psub_x(ctx, h))
-        counts[r] = len(w) - 1
-        w_polys[r] = w
-        e = sum(_mobius(r // t) * counts.get(t, 0) for t in _divisors(r))
-        if e:
-            assert e % r == 0
-            exact[r] = e // r
-            assigned += e
     out = []
-    for s, norbits in sorted(exact.items()):
-        reps = [None] * norbits
-        if with_reps:
-            reps = _orbit_reps(ctx, w_polys, s)
-            assert len(reps) == norbits
-        for rep in reps:
-            out.append((s, rep))
-    return sorted(out, key=lambda t: (t[0], -1 if t[1] is None else t[1].val))
-
-
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _orbit_reps(ctx: Fq, w_polys: dict, s: int) -> list:
-    """Least root per size-s orbit, walking conjugates explicitly."""
-    u = w_polys[s]
-    for t in _divisors(s):
-        if t < s and t in w_polys:
-            g = _pgcd(ctx, u, w_polys[t])
-            while len(g) > 1:
-                u = [c for c in _pdiv_exact(ctx, u, g)]
-                g = _pgcd(ctx, u, w_polys[t])
-    top = ctx if s == 1 else mk_tower(ctx, s)
-    roots = [e.val for e, _ in roots_in(Poly(ctx, u), top)]
-    seen = set()
-    reps = []
-    for rho in sorted(roots):
-        if rho in seen:
+    for d, part in orbit_split(f)[1]:
+        if not with_reps:
+            out += [(d, None)] * (part.degree // d)
             continue
-        orbit = {rho}
-        cur = top.frobenius(rho, 1) if s > 1 else rho
-        while cur != rho:
-            orbit.add(cur)
-            cur = top.frobenius(cur, 1)
-        assert len(orbit) == s
-        seen |= orbit
-        reps.append(FqElem(top, min(orbit)))
-    return reps
-
-
-def _pdiv_exact(ctx: Context, a: list, b: list) -> list:
-    q, r = _pdivmod(ctx, a, b)
-    assert not r
-    return q
+        top = ctx if d == 1 else mk_tower(ctx, d)
+        left = {r.val for r, _ in roots_in(part, top)}
+        while left:
+            rho = min(left)
+            left -= top.orbit(rho) if d > 1 else {rho}
+            out.append((d, FqElem(top, rho)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +306,8 @@ def witnesses_from_good(g: Poly, tower: Tower,
     """One witness per distinct root of v_g, located inside the tower.
 
     The correspondence holds only for deg g = n + 1 over GF(q) and the tower
-    GF(q^n).  The single irreducible factor of the squarefree part of v_g has
-    some degree s; the roots live in GF(q^s), which lies inside GF(q^n) when s
+    GF(q^n).  The radical of v_g, irreducible for a good g, has some degree
+    s; the roots live in GF(q^s), which lies inside GF(q^n) when s
     divides n.  For a good g of degree n + 1, s divides n automatically, since
     v_g = c f^(n/s).  Witnesses are brute-force checked whenever the tower is
     within the brute-force bound, and marked criterion-only otherwise.
@@ -396,15 +321,14 @@ def witnesses_from_good(g: Poly, tower: Tower,
     rep = report or goodness(g)
     if not rep.is_good:
         raise NotGood(f"not a good polynomial ({rep.reason})")
-    f0 = rep.factorization.factors[0][0]
-    s = f0.degree
+    s = rep.radical.degree
     if tower.n % s:
         raise OrbitSizeDoesNotDivideN(f"orbit size {s} does not divide {tower.n}")
     if g.degree != tower.n + 1:
         raise DegreeNotNPlusOne(
             f"degree {g.degree} is not n + 1 = {tower.n + 1}")
     d = cpp_exponent(tower)
-    roots = roots_in(f0, tower)
+    roots = roots_in(rep.radical, tower)
     assert len(roots) == s
     params = dict(params or {})
     out = []

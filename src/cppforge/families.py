@@ -49,14 +49,14 @@ from .gf import (
 from .poly import (
     Poly,
     dickson_poly,
-    factorize,
     has_root_in_units,
     is_irreducible,
     linearized_associate,
+    orbit_split,
     pow_mod,
     roots_in,
 )
-from .cpp_core import _divisors, v_poly
+from .cpp_core import v_poly
 
 
 class NotPrimeDegree(FieldError):
@@ -154,6 +154,10 @@ class FamilyItem:
 class FamilySkip:
     params: FamilyParams
     reason: str
+
+
+def _divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @dataclass(frozen=True)
@@ -312,13 +316,7 @@ def _a2_char2_e0_single_orbit(base: Fq, n: int, a: int) -> bool:
     for dat in split:
         alpha = dat.alpha.val
         roots.add(sqrt_in(top, top.mul(top.mul(alpha, alpha), a)))
-    rho = next(iter(roots))
-    orbit = {rho}
-    cur = top.frobenius(rho, 1)
-    while cur != rho:
-        orbit.add(cur)
-        cur = top.frobenius(cur, 1)
-    return orbit == roots
+    return top.orbit(next(iter(roots))) == roots
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +367,8 @@ def construct_b(base: Fq, r: int, a, e) -> FamilyItem:
     if predicted:
         u0 = roots_in(Poly(base, [base.neg(a)] + [0] * (p - 2) + [1]), top)[0][0].val
         v0 = roots_in(Poly(base, [base.neg(e)] + [0] * (k - 1) + [1]), top)[0][0].val
-        vg = v_poly(g).lift(top)
-        vals = set()
-        for lam in range(1, p):
-            val = top.sub(top.pow_(top.sub(v0, top.mul(lam, u0)), k), e)
-            assert vg.eval_at(val) == 0
-            vals.add(val)
+        vals = {top.sub(top.pow_(top.sub(v0, top.mul(lam, u0)), k), e)
+                for lam in range(1, p)}
         roots = tuple(FqElem(top, v) for v in sorted(vals))
     return FamilyItem(params, g, predicted, roots)
 
@@ -502,11 +496,7 @@ def _construct_lin_general(base: Fq, j: int, k: int, h_coeffs: list, e: int) -> 
     g = g - Poly.constant(base, g.eval_at(0))
     # roots of L away from zero, in the splitting tower
     vl = v_poly(L)
-    degrees = [f.degree for f, _ in factorize(vl).factors]
-    lcm = 1
-    for dgr in degrees:
-        lcm = lcm * dgr // math.gcd(lcm, dgr)
-    top = mk_tower(base, lcm)
+    top = mk_tower(base, math.lcm(*(d for d, _ in orbit_split(vl)[1])))
     ell_roots = [rho.val for rho, _ in roots_in(vl, top)]
     if e == 0:
         e0 = 0
@@ -516,13 +506,7 @@ def _construct_lin_general(base: Fq, j: int, k: int, h_coeffs: list, e: int) -> 
             raise NoKthRoot(f"e = {e} has no k-th root in the splitting tower")
         e0 = e_roots[0][0].val
     vals = {top.sub(e, top.pow_(top.sub(e0, ell), k)) for ell in ell_roots}
-    rho = next(iter(vals))
-    orbit = {rho}
-    cur = top.frobenius(rho, 1)
-    while cur != rho:
-        orbit.add(cur)
-        cur = top.frobenius(cur, 1)
-    predicted = orbit == vals
+    predicted = top.orbit(next(iter(vals))) == vals
     params = FamilyParams("D_general", deg - 1,
                           {"j": j, "k": k, "h": list(hpoly.coeffs), "e": e})
     roots = tuple(FqElem(top, v) for v in sorted(vals)) if predicted else None
@@ -569,7 +553,6 @@ class Deg9Result:
     case_index: str          # "i" | "ii" | "iii" | "iv" | "none"
     matches: tuple           # all shape matches, in order
     good: bool
-    v_factors: Optional[tuple]
     f_poly: Poly
 
 
@@ -620,21 +603,17 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
         if legendre(base, base.mul(2, a2)) == -1:
             matches.append("iv")
     case = matches[0] if matches else "none"
-    exceptional = bool(matches)
     good = False
-    v_factors = None
-    if exceptional:
-        vf = v_poly(F)
-        v_factors = factorize(vf).factors if not vf.is_zero() else ()
-        if case == "ii":
-            good = is_irreducible(Poly(base, [a8, 0, a6, 0, 0, 0, 0, 0, 1]))
-        elif case == "iii":
-            w = Poly(base, [base.mul(2, a4), 0, base.mul(2, a3), 0, 0, 0, 0, 0, 1])
-            top4 = mk_tower(base, 4)
-            good = not roots_in(w, top4)
-        elif case == "iv":
-            good = is_irreducible(vf)
-    return Deg9Result(exceptional, case, tuple(matches), good, v_factors, F)
+    if case == "ii":
+        good = is_irreducible(Poly(base, [a8, 0, a6, 0, 0, 0, 0, 0, 1]))
+    elif case == "iii":
+        # w lies over GF(q), so it has a root in GF(q^4) exactly when it has
+        # an irreducible factor of degree 1, 2 or 4
+        w = Poly(base, [base.mul(2, a4), 0, base.mul(2, a3), 0, 0, 0, 0, 0, 1])
+        good = all(4 % d for d, _ in orbit_split(w)[1])
+    elif case == "iv":
+        good = is_irreducible(v_poly(F))
+    return Deg9Result(bool(matches), case, tuple(matches), good, F)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,14 @@ class Tower(Context):
         """The q-power Frobenius x -> x^(q^i) relative to the declared base."""
         return self.pow_(a, self.q ** (i % self.n))
 
+    def orbit(self, a: int) -> set:
+        """The q-power conjugates a, a^q, a^(q^2), ... of a over the base."""
+        out, cur = {a}, self.frobenius(a)
+        while cur != a:
+            out.add(cur)
+            cur = self.frobenius(cur)
+        return out
+
     def project_base(self, a: int) -> int:
         """Encoding in GF(q) of an element that lies in the base subfield."""
         digits = self.decode(a)

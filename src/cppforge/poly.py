@@ -4,7 +4,8 @@ Coefficients are canonical element encodings, constant term first, with the
 leading coefficient nonzero (the zero polynomial is the empty tuple).  The
 module provides exact ring arithmetic, gcd, factorization into irreducibles
 (squarefree split, distinct-degree split, equal-degree split with a
-context-derived deterministic seed), a Rabin-style irreducibility test that
+context-derived deterministic seed), the Frobenius orbit sizes of the roots
+from the distinct-degree split alone, a Rabin-style irreducibility test that
 is independent of the factorizer, root extraction in extensions, Dickson
 polynomials, linearized associates, and characteristic polynomials of tower
 elements.
@@ -549,10 +550,6 @@ class Factorization:
             "factors": [{"poly": list(f.coeffs), "mult": m} for f, m in self.factors],
         }
 
-    @property
-    def distinct_degrees(self) -> tuple:
-        return tuple(sorted(f.degree for f, _ in self.factors))
-
 
 def _seed_fold(*vals: int) -> int:
     h = 0xCBF29CE484222325
@@ -695,6 +692,23 @@ def squarefree_part(f: Poly) -> Poly:
     for g, _ in parts:
         acc = _pmul(ctx, acc, g)
     return Poly(ctx, acc, trusted=True)
+
+
+def orbit_split(f: Poly) -> tuple:
+    """The radical of f and its distinct-degree split.
+
+    Returns (rad, [(d, product of the monic degree-d irreducible factors of
+    rad)]) with d increasing.  The roots of a degree-d irreducible form one
+    Frobenius orbit of size d, so each part holds deg(part)/d orbits of size
+    d; no equal-degree splitting is done.
+    """
+    if f.degree == 0:
+        raise ConstantPolynomial("need degree >= 1")
+    rad = squarefree_part(f)
+    ctx = f.ctx
+    parts = [(d, Poly(ctx, g, trusted=True))
+             for d, g in _distinct_degree_split(ctx, list(rad.coeffs))]
+    return rad, parts
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -71,6 +71,15 @@ class TestPredictedRootMismatch:
         assert kinds == ["PredictedRootMismatch"] * 56
 
 
+class TestFamilyBRootMismatch:
+    def test_wrong_predicted_roots_are_reported_not_raised(self):
+        # B over GF(5) with r = 2 and e != 0: the verdict is right but the
+        # predicted roots are not the roots of v_g
+        report = run_scan(ScanConfig("scan", p=5, m=1, n=4, family="B",
+                                     ranges={"r": [2], "a": [2], "e": [1]}))
+        assert [m["kind"] for m in report.mismatches] == ["PredictedRootMismatch"]
+
+
 class TestWitnessFileRoundTrip:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_scan_then_verify(self, tmp_path, fmt):

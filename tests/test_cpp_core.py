@@ -7,7 +7,7 @@ import pytest
 
 from cppforge import gf
 from cppforge.gf import FieldTooLarge, elem, mk_field, mk_tower
-from cppforge.poly import ConstantPolynomial, Poly, roots_in
+from cppforge.poly import ConstantPolynomial, Poly, factorize, roots_in
 from cppforge.cpp_core import (
     CppWitness,
     DegreeNotNPlusOne,
@@ -160,9 +160,9 @@ class TestGoodness:
             if g.degree < 2:
                 continue
             rep = goodness(g)
-            assert rep.factorization.expand() == rep.vg
+            assert factorize(rep.vg).expand() == rep.vg
             assert rep.orbit_sizes == tuple(sorted(
-                f.degree for f, _ in rep.factorization.factors))
+                f.degree for f, _ in factorize(rep.vg).factors))
 
 
 class TestOrbitStructure:
@@ -186,7 +186,7 @@ class TestOrbitStructure:
 
     def test_sizes_match_factor_degrees(self):
         rng = random.Random(4)
-        from cppforge.poly import factorize, squarefree_part
+        from cppforge.poly import squarefree_part
         for ctx in (F4, F5, F9):
             for _ in range(60):
                 f = Poly(ctx, [rng.randrange(ctx.order)
@@ -194,6 +194,32 @@ class TestOrbitStructure:
                 orbits = orbit_structure(f)
                 degs = sorted(p.degree for p, _ in factorize(squarefree_part(f)).factors)
                 assert sorted(s for s, _ in orbits) == degs
+
+    def test_sizes_match_sympy_factor_degrees(self):
+        # an oracle that shares no code with the distinct-degree split
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+        rng = random.Random(6)
+        for p in (2, 3, 5, 7):
+            ctx = mk_field(p, 1)
+            for _ in range(50):
+                coeffs = [rng.randrange(p) for _ in range(rng.randrange(1, 13))] + [1]
+                f = Poly(ctx, coeffs)
+                _, factors = galoistools.gf_factor(
+                    [ZZ(c) for c in reversed(coeffs)], p, ZZ)
+                degs = sorted(len(g) - 1 for g, _ in factors)
+                orbits = orbit_structure(f, with_reps=f.degree <= 6)
+                assert [s for s, _ in orbits] == degs
+                if f.degree > 6:
+                    continue
+                for s, rep in orbits:
+                    top = rep.ctx
+                    assert f.lift(top).eval_at(rep.val) == 0
+                    conj = [rep.val]
+                    while len(conj) < s:
+                        conj.append(top.pow_(conj[-1], p))
+                    assert top.pow_(conj[-1], p) == rep.val
+                    assert rep.val == min(conj)
 
 
 class TestWitnesses:
@@ -279,7 +305,7 @@ class TestCppNormalize:
             assert rep.is_good == rep2.is_good
             checked += 1
             if rep.is_good:
-                s = rep.factorization.factors[0][0].degree
+                s = rep.orbit_sizes[0]
                 top = mk_tower(F9, s) if s > 1 else F9
                 r1 = {x.val for x, _ in roots_in(rep.vg, top)}
                 r2 = {x.val for x, _ in roots_in(rep2.vg, top)}
