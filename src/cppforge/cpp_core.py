@@ -89,38 +89,53 @@ def _eval_all_sparse(ctx: Context, terms: dict, brute_bound: int) -> np.ndarray:
     """Values of sum(c_j x^j) over every field element (zero first)."""
     if ctx.order > brute_bound:
         raise FieldTooLarge(f"|F| = {ctx.order} exceeds brute bound {brute_bound}")
+    # odd p needs the digit matrix, whose cap is checked before any table is built
+    dig = ctx.digit_matrix() if ctx.p != 2 else None
     ctx.ensure_tables(brute_bound)
-    n = ctx.order
-    m = n - 1
-    ks = np.arange(m, dtype=np.int64)
+    exp, log = ctx._exp, ctx._log
+    m = ctx.order - 1
     c0 = terms.get(0, 0)
+
+    def term(j: int, c: int) -> np.ndarray:
+        # c x^j at x = gamma^i, i = 0 .. m-1
+        if j == 1 and c == 1:
+            return exp
+        idx = np.arange(m, dtype=np.int64)
+        idx *= j % m
+        idx += int(log[c])
+        idx %= m
+        return exp[idx]
+
     live = [(j, c) for j, c in terms.items() if j >= 1 and c]
+    out = np.empty(ctx.order, dtype=np.int64)
+    out[0] = c0
     if ctx.p == 2:
-        acc = np.zeros(m, dtype=np.int64)
+        acc = out[1:]
+        acc[:] = c0
         for j, c in live:
-            acc ^= ctx._exp[(ks * (j % m if j >= m else j) + int(ctx._log[c])) % m]
-        if c0:
-            acc ^= c0
-        f0 = c0
+            acc ^= term(j, c)
     else:
         k = ctx.deg_over_prime
-        dig = ctx.digit_matrix()
         acc_d = np.zeros((m, k), dtype=np.int16)
         for j, c in live:
-            idx = ctx._exp[(ks * (j % m if j >= m else j) + int(ctx._log[c])) % m]
-            acc_d += dig[idx]
+            acc_d += dig[term(j, c)]
         if c0:
             acc_d += dig[c0]
         acc_d %= ctx.p
         powers = (ctx.p ** np.arange(k)).astype(np.int64)
-        acc = acc_d.astype(np.int64).dot(powers)
-        f0 = c0
-    return np.concatenate(([f0], acc))
+        out[1:] = acc_d.astype(np.int64).dot(powers)
+    return out
 
 
 def _is_injective_values(vals: np.ndarray, order: int) -> bool:
-    counts = np.bincount(vals, minlength=order)
-    return int(counts.max()) == 1
+    """Whether order values, each in [0, order), are pairwise distinct.
+
+    With as many values as the range holds, that is the case exactly when
+    every encoding of the range is hit.
+    """
+    seen = np.zeros(order, dtype=bool)
+    seen[vals] = True
+    return bool(seen.all())
 
 
 def is_permutation(f: Poly, ctx: Optional[Context] = None,
@@ -310,7 +325,8 @@ def witnesses_from_good(g: Poly, tower: Tower,
     s; the roots live in GF(q^s), which lies inside GF(q^n) when s
     divides n.  For a good g of degree n + 1, s divides n automatically, since
     v_g = c f^(n/s).  Witnesses are brute-force checked whenever the tower is
-    within the brute-force bound, and marked criterion-only otherwise.
+    within the brute-force bound, and marked criterion-only otherwise, also
+    when the brute force raises FieldTooLarge for a table it cannot build.
 
     Raises, checked in this order: NotGood when g is not good,
     OrbitSizeDoesNotDivideN when s does not divide n, and DegreeNotNPlusOne
@@ -333,13 +349,14 @@ def witnesses_from_good(g: Poly, tower: Tower,
     params = dict(params or {})
     out = []
     for b, _ in roots:
+        verified, ok = VERIFIED_CRITERION, None
         if tower.order <= brute_bound:
-            ok = is_cpp_monomial(b, tower, brute_bound)
-            out.append(CppWitness(tower, d, b.val, family, params,
-                                  VERIFIED_BRUTE, ok))
-        else:
-            out.append(CppWitness(tower, d, b.val, family, params,
-                                  VERIFIED_CRITERION, None))
+            try:
+                ok = is_cpp_monomial(b, tower, brute_bound)
+                verified = VERIFIED_BRUTE
+            except FieldTooLarge:
+                pass    # an evaluation table the brute force needs is over its cap
+        out.append(CppWitness(tower, d, b.val, family, params, verified, ok))
     return out
 
 

@@ -44,6 +44,7 @@ from .gf import (
     mk_tower,
     ord_mod,
     root_of_unity,
+    solve_quadratic,
     sqrt_in,
 )
 from .poly import (
@@ -284,7 +285,6 @@ def _a2_predicted_roots(base: Fq, n: int, a: int, e: int, disc: int) -> list:
             vals.add(top.neg(top.mul(half, top.add(t0, s))))
             vals.add(top.neg(top.mul(half, top.sub(t0, s))))
         else:
-            from .gf import solve_quadratic
             a1 = FqElem(top, top.mul(e, alpha))
             a0 = FqElem(top, top.mul(alpha, top.add(top.mul(alpha, a), top.mul(e, e))))
             for r in solve_quadratic(FqElem(top, 1), a1, a0):

@@ -219,8 +219,16 @@ class Context:
         if n > min(brute_bound, HARD_BRUTE_CAP):
             raise FieldTooLarge(f"order {n} exceeds brute-force bound {brute_bound}")
         g = self.primitive_element()
-        p, k = self.p, self.deg_over_prime
         m = n - 1
+        exp = self._exp_by_doubling(g, m) if self.p == 2 else self._exp_by_matrix(g, m)
+        log = np.full(n, -1, dtype=np.int64)
+        log[exp] = np.arange(m, dtype=np.int64)
+        self._exp = exp
+        self._log = log
+
+    def _exp_by_matrix(self, g: int, m: int) -> np.ndarray:
+        """gamma^0 .. gamma^(m-1) through powers of the digit matrix of gamma."""
+        p, k = self.p, self.deg_over_prime
         # multiplication by gamma is GF(p)-linear on the flat digit vector
         mat = np.zeros((k, k), dtype=np.int64)
         for j in range(k):
@@ -243,10 +251,31 @@ class Context:
             done += take
             if done < m:
                 block = step.dot(block) % p
-        log = np.full(n, -1, dtype=np.int64)
-        log[exp] = np.arange(m, dtype=np.int64)
-        self._exp = exp
-        self._log = log
+        return exp
+
+    def _exp_by_doubling(self, g: int, m: int) -> np.ndarray:
+        """gamma^0 .. gamma^(m-1) in characteristic 2, doubling the filled prefix.
+
+        Multiplication by gamma^L is GF(2)-linear on the bit encoding, so
+        exp[L:2L] = gamma^L exp[0:L] is an xor of one 256-entry lookup table
+        per byte of the encoding, each built from the images of its 8 bits.
+        """
+        k = self.deg_over_prime
+        exp = np.empty(m, dtype=np.int64)
+        exp[0] = 1
+        filled, g_l = 1, g      # g_l = gamma^filled
+        while filled < m:
+            take = min(filled, m - filled)
+            src, dst = exp[:take], exp[filled:filled + take]
+            dst[:] = 0
+            for lo in range(0, k, 8):
+                table = np.zeros(256, dtype=np.int64)
+                for t in range(min(8, k - lo)):
+                    table[1 << t:2 << t] = table[:1 << t] ^ self.mul(g_l, 1 << (lo + t))
+                dst ^= table[(src >> lo) & 255]
+            filled += take
+            g_l = self.mul(g_l, g_l)
+        return exp
 
     def digit_matrix(self) -> np.ndarray:
         """(order, deg_over_prime) int8 matrix of base-p digits per encoding."""
@@ -959,7 +988,10 @@ def artin_schreier_root(ctx: Context, delta: int) -> Optional[int]:
     else:
         eps = _AS_EPSILON.get(id(ctx))
         if eps is None:
-            eps = next(a for a in ctx.units() if abs_trace2(ctx, a) == 1)
+            # The trace is GF(2)-linear on the bit encoding, so every encoding
+            # below the first trace-one basis vector has trace 0: that basis
+            # vector is the least trace-one element.
+            eps = next(1 << j for j in range(k) if abs_trace2(ctx, 1 << j) == 1)
             _AS_EPSILON[id(ctx)] = eps
         z = 0
         prefix = eps          # eps + eps^2 + ... + eps^(2^i)

@@ -585,6 +585,8 @@ def _proot_coeffs(ctx: Context, c: list) -> list:
 
 def _squarefree_split(ctx: Context, f: list) -> list:
     """Monic f -> [(monic squarefree part, multiplicity)], multiplicities distinct."""
+    if len(f) <= 1:
+        return []
     out = []
     df = _pderiv(ctx, f)
     if not df:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cppforge import gf
@@ -14,6 +15,7 @@ from cppforge.cpp_core import (
     NotGood,
     OrbitSizeDoesNotDivideN,
     ZeroCoefficient,
+    _is_injective_values,
     cpp_exponent,
     cpp_normalize,
     exceptional_necessary,
@@ -117,16 +119,30 @@ class TestCppMonomial:
             is_cpp_monomial(0, T25)
 
     def test_matches_definition_by_brute_force(self):
-        # independent oracle: evaluate b^-1 x^d + x pointwise and check both
-        # the monomial part and the sum are bijections
-        d = cpp_exponent(T25)
-        for b in range(1, 25):
-            binv = T25.inv(b)
-            mono = {T25.mul(binv, T25.pow_(x, d)) for x in T25.elements()}
-            summ = {T25.add(T25.mul(binv, T25.pow_(x, d)), x)
-                    for x in T25.elements()}
-            want = len(mono) == 25 and len(summ) == 25
-            assert is_cpp_monomial(b, T25) == want
+        # independent oracle: evaluate b^-1 x^d + x pointwise with the
+        # table-free multiplication and check both the monomial part and the
+        # sum are bijections; GF(4^3) and GF(8^2) take the xor kernel
+        for t in (T25, mk_tower(F4, 3), mk_tower(F8, 2)):
+            def slow_pow(a, e):
+                acc = 1
+                for _ in range(e):
+                    acc = t._mul_slow(acc, a)
+                return acc
+
+            d = cpp_exponent(t)
+            xd = {x: slow_pow(x, d) for x in t.elements()}
+            for b in t.units():
+                binv = slow_pow(b, t.order - 2)
+                mono = {t._mul_slow(binv, xd[x]) for x in t.elements()}
+                summ = {t.add(t._mul_slow(binv, xd[x]), x) for x in t.elements()}
+                want = len(mono) == t.order and len(summ) == t.order
+                assert is_cpp_monomial(b, t) == want
+
+    def test_injectivity_sees_one_repeat(self):
+        vals = np.arange(64)[::-1].copy()
+        assert _is_injective_values(vals, 64)
+        vals[40] = vals[3]
+        assert not _is_injective_values(vals, 64)
 
 
 class TestGoodness:
@@ -252,6 +268,19 @@ class TestWitnesses:
             assert vg.eval_at(w.b) == 0
             assert t4.frobenius(w.b, 2) == w.b
             assert w.verified == "BruteForce" and w.passed
+
+    def test_brute_force_over_its_table_cap_is_criterion_only(self, monkeypatch):
+        # odd-p brute force needs the digit matrix; over its cap the witnesses
+        # keep the criterion verdict instead of raising
+        g = Poly(F5, [0, 4, 0, 4, 0, 1])
+        t4 = mk_tower(F5, 4)
+        monkeypatch.setattr(t4, "_digmat", None)
+        monkeypatch.setattr(gf, "_DIGIT_CACHE_BOUND", t4.order - 1)
+        with pytest.raises(FieldTooLarge):
+            is_cpp_monomial(25, t4)
+        ws = witnesses_from_good(g, t4)
+        assert sorted(w.b for w in ws) == [25, 100]
+        assert all(w.verified == "CriterionOnly" and w.passed is None for w in ws)
 
     def test_not_good_rejected(self):
         with pytest.raises(NotGood):

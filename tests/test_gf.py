@@ -19,6 +19,8 @@ from cppforge.gf import (
     NotASubfield,
     NotCoprime,
     NotPrime,
+    abs_trace2,
+    artin_schreier_root,
     elem,
     embed,
     frobenius,
@@ -115,6 +117,18 @@ class TestMkField:
         assert out1.strip() == "[[1, 0, 1], [2, 0, 1]]"
 
 
+def char2_contexts():
+    """Every char-2 field and tower of order up to 2^12 but GF(2^9).
+
+    GF(2^9) is left out because mk_field spends seconds on its dense op
+    rows; the tower GF((2^3)^3) has the same order.
+    """
+    out = [mk_field(2, k) for k in range(1, 13) if k != 9]
+    for m in range(1, 7):
+        out += [mk_tower(mk_field(2, m), n) for n in range(2, 12 // m + 1)]
+    return out
+
+
 class TestArith:
     def test_add_f5(self):
         assert (elem(F5, 3) + elem(F5, 4)).val == 2
@@ -147,11 +161,22 @@ class TestArith:
 
     def test_tables_agree_with_slow_path(self):
         rng = random.Random(2)
-        for ctx in (F9, F25, mk_tower(F4, 2)):
+        for ctx in (F9, F25, mk_tower(F4, 2), mk_field(2, 10), mk_tower(F8, 4)):
             ctx.ensure_tables()
             for _ in range(100):
                 a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
                 assert ctx.mul(a, b) == ctx._mul_slow(a, b)
+
+    def test_char2_tables_follow_gamma(self):
+        # the doubled xor tables against one table-free step per entry
+        for ctx in char2_contexts():
+            ctx.ensure_tables()
+            exp, log, g = ctx._exp, ctx._log, ctx.primitive_element()
+            m = ctx.order - 1
+            assert len(exp) == m and exp[0] == 1
+            for i in range(m):
+                assert ctx._mul_slow(int(exp[i]), g) == (exp[i + 1] if i + 1 < m else 1)
+                assert log[exp[i]] == i
 
 
 class TestFrobenius:
@@ -343,6 +368,35 @@ class TestSolveQuadratic:
                 s = sqrt_in(ctx, a)
                 if s is not None:
                     assert ctx.mul(s, s) == a
+
+
+class TestArtinSchreierEpsilon:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self, monkeypatch):
+        monkeypatch.setattr(gf, "_AS_EPSILON", {})
+
+    def test_epsilon_is_least_trace_one_element(self):
+        ctxs = [c for c in char2_contexts() if c.deg_over_prime % 2 == 0]
+        t20 = mk_tower(mk_field(2, 5), 4)
+        t20.ensure_tables()  # only to make the reference walk fast
+        for ctx in ctxs + [t20]:
+            assert artin_schreier_root(ctx, 0) == 0
+            want = next(a for a in ctx.units() if abs_trace2(ctx, a) == 1)
+            assert gf._AS_EPSILON[id(ctx)] == want
+
+    def test_first_root_costs_at_most_k_plus_1_traces(self, monkeypatch):
+        calls = []
+
+        def counted(ctx, a):
+            calls.append(a)
+            return abs_trace2(ctx, a)
+
+        monkeypatch.setattr(gf, "abs_trace2", counted)
+        t20 = mk_tower(mk_field(2, 5), 4)
+        z = 12345
+        delta = t20.add(t20.mul(z, z), z)
+        assert artin_schreier_root(t20, delta) == min(z, z ^ 1)
+        assert len(calls) <= t20.deg_over_prime + 1
 
 
 class TestEmbed:

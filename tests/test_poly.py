@@ -320,3 +320,7 @@ class TestPowMod:
     def test_squarefree_part(self):
         f = Poly(F2, [1, 1]) ** 4 * Poly(F2, [1, 1, 1])
         assert squarefree_part(f) == Poly(F2, [1, 1]) * Poly(F2, [1, 1, 1])
+
+    def test_squarefree_part_of_constant_is_one(self):
+        for ctx in (F2, F5, F9):
+            assert squarefree_part(Poly.constant(ctx, ctx.order - 1)) == Poly.constant(ctx, 1)
