@@ -185,6 +185,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
         mismatches.extend(res["mismatches"])
         witnesses.extend(res["witnesses"])
     witnesses.sort(key=lambda w: (w.family, sorted(w.params.items()), w.b))
+    # several items may yield the same b; count each CPM b once
+    counts["distinctCpp"] = len({w.b for w in witnesses
+                                 if w.verified == VERIFIED_BRUTE and w.passed})
     report = ScanReport(
         config={"command": "scan", "p": config.p, "m": config.m, "n": n,
                 "family": config.family, "bruteBound": config.brute_bound,

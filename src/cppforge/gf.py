@@ -426,17 +426,33 @@ class Fq(Context):
         return self.encode(prod[:m])
 
     def build_rows(self) -> None:
-        """Dense op rows for small fields; a no-op above the row bound."""
+        """Dense op rows for small fields; a no-op above the row bound.
+
+        Products come from exp/log tables local to this call (the context's
+        own tables stay unbuilt), sums and negatives digit by digit; the rows
+        are kept as lists because indexing a list is the fastest lookup.
+        """
         if self._mul_rows is not None or self.order > _ROW_BOUND:
             return
-        n = self.order
-        self._neg_row = [self.neg(a) for a in range(n)]
-        add_rows, mul_rows = [], []
-        for a in range(n):
-            add_rows.append([self.add(a, b) for b in range(n)])
-            mul_rows.append([self._mul_slow(a, b) for b in range(n)])
-        self._add_rows = add_rows
-        self._mul_rows = mul_rows
+        n, p = self.order, self.p
+        g = self.primitive_element()
+        exp = self._exp_by_doubling(g, n - 1) if p == 2 else self._exp_by_matrix(g, n - 1)
+        log = np.zeros(n, dtype=np.int64)
+        log[exp] = np.arange(n - 1)
+        mul = np.zeros((n, n), dtype=np.int64)
+        mul[1:, 1:] = np.concatenate([exp, exp])[log[1:, None] + log[None, 1:]]
+        a = np.arange(n, dtype=np.int64)
+        add = np.zeros((n, n), dtype=np.int64)
+        neg = np.zeros(n, dtype=np.int64)
+        pw = 1
+        for _ in range(self.m):
+            d = a // pw % p
+            add += (d[:, None] + d[None, :]) % p * pw
+            neg += -d % p * pw
+            pw *= p
+        self._neg_row = neg.tolist()
+        self._add_rows = add.tolist()
+        self._mul_rows = mul.tolist()
 
     def frobenius(self, a: int, i: int = 1) -> int:
         return self.pow_(a, self.p ** (i % self.m if self.m else 1))

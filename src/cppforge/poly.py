@@ -12,7 +12,11 @@ elements.
 
 Large-degree work over plain fields (degrees in the hundreds appear in the
 scanners) is routed through a numpy backend that represents a polynomial as
-its GF(p) digit components and multiplies by integer convolution.
+its GF(p) digit components and multiplies by integer convolution.  Its
+`pow_mod` takes each remainder with two products by a Newton inverse of the
+reversed modulus, computed once per call (von zur Gathen & Gerhard, Modern
+Computer Algebra, §9.1); its `divmod_` and `gcd` share one elimination loop
+whose step is one product of a digit matrix.
 """
 
 from __future__ import annotations
@@ -219,7 +223,20 @@ def _psub_x(ctx: Context, a: list) -> list:
 
 
 class _DenseEngine:
-    """Digit-component polynomial arithmetic over GF(p^m) via convolution."""
+    """Digit-component polynomial arithmetic over GF(p^m) via convolution.
+
+    A polynomial is an (m, length) array of GF(p) digits, column j holding
+    coefficient j.  Multiplication by a field element c is the m x m GF(p)
+    matrix whose column j holds the digits of c·t^j.
+
+    * `divmod_` and `gcd` share `_eliminate`: with the rows t^i·B/lc(B),
+      i < m, of the divisor B stacked once, removing the lead term c of the
+      remainder is one dot of c's digits with them and an in-place
+      subtract-and-mod on the top deg B + 1 columns.
+    * `pow_mod` reduces each product X by G = rev(M)^-1 mod x^(D-1), found
+      by Newton iteration once per call: Q = rev(rev(X)·G mod x^l) and the
+      remainder is the low D terms of X - Q·M (MCA §9.1).
+    """
 
     def __init__(self, ctx: Fq):
         self.ctx = ctx
@@ -272,63 +289,101 @@ class _DenseEngine:
                 tcomp[i + j] += np.convolve(A[i], B[j])
         return self._fold(tcomp)
 
-    def _scalar_times(self, digits: np.ndarray, B: np.ndarray) -> np.ndarray:
-        m = self.m
-        L = B.shape[1]
-        tcomp = [np.zeros(L, dtype=np.int64) for _ in range(2 * m - 1)]
-        for i in range(m):
-            if digits[i]:
-                for j in range(m):
-                    tcomp[i + j] += int(digits[i]) * B[j]
-        return self._fold(tcomp)
-
     def _deg(self, A: np.ndarray) -> int:
         nz = np.nonzero(A.any(axis=0))[0]
         return int(nz[-1]) if len(nz) else -1
 
+    def _mats(self, c: int) -> np.ndarray:
+        """(m, m, m) GF(p) matrices: [i] multiplies digit columns by c·t^i.
+
+        digits(c·b) = _mats(c)[0] · digits(b), and column j of [i] holds the
+        digits of c·t^(i+j).
+        """
+        ctx, m, ct = self.ctx, self.m, [c]
+        for _ in range(2 * m - 2):
+            ct.append(ctx.mul(ct[-1], self.p))   # t is encoded as p
+        dig = [ctx.decode(x) for x in ct]
+        return np.array([dig[i:i + m] for i in range(m)], dtype=np.int64).transpose(0, 2, 1)
+
+    def _inv_lead(self, B: np.ndarray, d: int) -> np.ndarray:
+        return self._mats(self.ctx.inv(int(self.powers.dot(B[:, d]))))
+
+    def _eliminate(self, R: np.ndarray, B: np.ndarray, db: int) -> np.ndarray:
+        """Reduce R (digits mod p) modulo B of degree db in place; return the quotient."""
+        p, m, L = self.p, self.m, db + 1
+        inv = self._inv_lead(B, db)
+        TB = (inv @ B[:, :L] % p).reshape(m, m * L)
+        leads = np.zeros((m, max(0, R.shape[1] - db)), dtype=np.int64)
+        powers = self.powers
+        for k in range(R.shape[1] - 1, db - 1, -1):
+            c = R[:, k]
+            if powers.dot(c):
+                leads[:, k - db] = c
+                top = R[:, k - db:k + 1]
+                top -= c.dot(TB).reshape(m, L)
+                top %= p
+        return inv[0] @ leads % p
+
     def divmod_(self, A: np.ndarray, B: np.ndarray) -> tuple:
-        ctx = self.ctx
         db = self._deg(B)
         if db < 0:
             raise DivisionByZero("polynomial division by zero")
         da = self._deg(A)
         if da < db:
             return np.zeros((self.m, 0), dtype=np.int64), A[:, :da + 1]
-        inv_lead = ctx.inv(int(self.powers.dot(B[:, db])))
-        R = A[:, :da + 1].copy()
-        Q = np.zeros((self.m, da - db + 1), dtype=np.int64)
-        Bt = B[:, :db + 1]
-        for k in range(da, db - 1, -1):
-            lead = int(self.powers.dot(R[:, k] % self.p))
-            if lead == 0:
-                continue
-            f = ctx.mul(lead, inv_lead)
-            fd = np.array(ctx.decode(f), dtype=np.int64)
-            Q[:, k - db] = fd
-            R[:, k - db:k + 1] -= self._scalar_times(fd, Bt)
-            R[:, k - db:k + 1] %= self.p
-        return Q, R[:, :db] if db else np.zeros((self.m, 0), dtype=np.int64)
+        R = A[:, :da + 1] % self.p
+        Q = self._eliminate(R, B, db)
+        return Q, R[:, :db]
 
     def gcd(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        while self._deg(B) >= 0:
-            A, B = B, self.divmod_(A, B)[1]
-        d = self._deg(A)
-        if d < 0:
-            return A[:, :0]
-        A = A[:, :d + 1] % self.p
-        lead = int(self.powers.dot(A[:, d]))
-        if lead != 1:
-            fd = np.array(self.ctx.decode(self.ctx.inv(lead)), dtype=np.int64)
-            A = self._scalar_times(fd, A)
-        return A
+        da, db = self._deg(A), self._deg(B)
+        A, B = A[:, :da + 1] % self.p, B[:, :db + 1] % self.p
+        while db >= 0:
+            self._eliminate(A, B, db)
+            dr = min(db, A.shape[1]) - 1
+            while dr >= 0 and not self.powers.dot(A[:, dr]):
+                dr -= 1
+            A, B, db = B, A[:, :dr + 1], dr
+        if A.shape[1] == 0:
+            return A
+        return self._inv_lead(A, A.shape[1] - 1)[0] @ A % self.p
+
+    def _inverse_rev(self, M: np.ndarray, n: int) -> np.ndarray:
+        """rev(M)^-1 mod x^n by Newton iteration G <- G·(2 - rev(M)·G)."""
+        p, F = self.p, M[:, ::-1]
+        G = self._inv_lead(M, M.shape[1] - 1)[0, :, :1]
+        prec = 1
+        while prec < n:
+            prec = min(2 * prec, n)
+            E = self.mul(F[:, :prec], G)[:, :prec]
+            E[0, 0] -= 1                       # E = F·G - 1 = 0 mod x^(old prec)
+            G = np.pad(G, ((0, 0), (0, prec - G.shape[1])))
+            G = (G - self.mul(G, E)[:, :prec]) % p
+        return G
 
     def pow_mod(self, A: np.ndarray, e: int, M: np.ndarray) -> np.ndarray:
+        """A^e mod M by squaring; G is computed at the first product that needs reducing."""
+        p = self.p
+        M = M[:, :self._deg(M) + 1] % p
+        D = M.shape[1] - 1
+        G = None
+
+        def reduce(X: np.ndarray) -> np.ndarray:
+            nonlocal G
+            l = X.shape[1] - D              # X has at most 2D - 1 terms, so l < D
+            if l <= 0:
+                return X
+            if G is None:
+                G = self._inverse_rev(M, D - 1)
+            Q = self.mul(X[:, :D - 1:-1], G[:, :l])[:, l - 1::-1]
+            return (X[:, :D] - self.mul(Q, M)[:, :D]) % p
+
         acc = self.to_arr([1])
         base = self.divmod_(A, M)[1]
         while e:
             if e & 1:
-                acc = self.divmod_(self.mul(acc, base), M)[1]
-            base = self.divmod_(self.mul(base, base), M)[1]
+                acc = reduce(self.mul(acc, base))
+            base = reduce(self.mul(base, base))
             e >>= 1
         return acc
 

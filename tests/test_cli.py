@@ -92,3 +92,17 @@ class TestWitnessFileRoundTrip:
         report = json.loads(verified.read_text())
         assert report["counts"]["verifiedCpp"] == 12
         assert report["mismatches"] == []
+
+
+class TestDistinctCpp:
+    def test_items_sharing_b_count_once(self, tmp_path):
+        # B over GF(5^4) with r = 4, a = 2: the items e = 0 and e = 1 both
+        # yield the four witnesses b in GF(5)* y^3, so 8 witnesses, 4 distinct b
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--p", "5", "--m", "1", "--n", "4", "--family", "B",
+                     "--range", '{"r": [4], "a": [2], "e": [0, 1]}',
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["counts"]["verifiedCpp"] == 8
+        assert report["counts"]["distinctCpp"] == 4
+        assert len({json.dumps(w["b"]) for w in report["witnesses"]}) == 4

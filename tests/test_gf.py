@@ -118,15 +118,35 @@ class TestMkField:
 
 
 def char2_contexts():
-    """Every char-2 field and tower of order up to 2^12 but GF(2^9).
-
-    GF(2^9) is left out because mk_field spends seconds on its dense op
-    rows; the tower GF((2^3)^3) has the same order.
-    """
-    out = [mk_field(2, k) for k in range(1, 13) if k != 9]
+    """Every char-2 field and tower of order up to 2^12."""
+    out = [mk_field(2, k) for k in range(1, 13)]
     for m in range(1, 7):
         out += [mk_tower(mk_field(2, m), n) for n in range(2, 12 // m + 1)]
     return out
+
+
+class TestBuildRows:
+    """The dense op rows equal the arithmetic of the same field without rows."""
+
+    @staticmethod
+    def _check(p, m, pairs):
+        F = mk_field(p, m)
+        bare = gf.Fq(p, m, F.modulus)   # same field; no rows, no tables
+        assert bare._mul_rows is None and bare._log is None
+        for a, b in pairs:
+            assert F._mul_rows[a][b] == bare._mul_slow(a, b)
+            assert F._add_rows[a][b] == bare.add(a, b)
+        assert F._neg_row == [bare.neg(a) for a in range(F.order)]
+
+    @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+    def test_every_pair(self, p, m):
+        n = p ** m
+        self._check(p, m, [(a, b) for a in range(n) for b in range(n)])
+
+    @pytest.mark.parametrize("p, m", [(2, 8), (2, 9), (3, 5)])
+    def test_sampled_pairs(self, p, m):
+        n, rnd = p ** m, random.Random(2000)
+        self._check(p, m, [(rnd.randrange(n), rnd.randrange(n)) for _ in range(2000)])
 
 
 class TestArith:
