@@ -56,6 +56,7 @@ from .poly import (
     orbit_split,
     pow_mod,
     roots_in,
+    squarefree_part,
 )
 from .cpp_core import v_poly
 
@@ -612,7 +613,10 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
         w = Poly(base, [base.mul(2, a4), 0, base.mul(2, a3), 0, 0, 0, 0, 0, 1])
         good = all(4 % d for d, _ in orbit_split(w)[1])
     elif case == "iv":
-        good = is_irreducible(v_poly(F))
+        # good asks for one orbit of roots, so the radical of v_F must be
+        # irreducible; v_F itself can be a power, e.g. (x^2 + A2)^4 when
+        # A3 = A5 = 0
+        good = is_irreducible(squarefree_part(v_poly(F)))
     return Deg9Result(bool(matches), case, tuple(matches), good, F)
 
 

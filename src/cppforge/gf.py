@@ -139,6 +139,11 @@ class Context:
     _log: Optional[np.ndarray] = None
     _digmat: Optional[np.ndarray] = None
     _primitive: Optional[int] = None
+    # dense op rows, built by Fq.build_rows for small fields only
+    _mul_rows: Optional[list] = None
+    _add_rows: Optional[list] = None
+    _neg_row: Optional[list] = None
+    _inv_row: Optional[list] = None
 
     # -- basic ops supplied by subclasses: add, neg, mul, _mul_slow ---------
 
@@ -148,6 +153,8 @@ class Context:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
+        if self._inv_row is not None:
+            return self._inv_row[a]
         if self._log is not None:
             m = self.order - 1
             return int(self._exp[(m - self._log[a]) % m])
@@ -337,9 +344,6 @@ class Fq(Context):
         self.deg_over_prime = m
         self.modulus = modulus
         self.order = p ** m
-        self._mul_rows = None
-        self._add_rows = None
-        self._neg_row = None
         # tail of the reduction rule x^m = -(modulus minus leading term)
         self._red = tuple((-c) % p for c in modulus[:-1])
 
@@ -429,8 +433,9 @@ class Fq(Context):
         """Dense op rows for small fields; a no-op above the row bound.
 
         Products come from exp/log tables local to this call (the context's
-        own tables stay unbuilt), sums and negatives digit by digit; the rows
-        are kept as lists because indexing a list is the fastest lookup.
+        own tables stay unbuilt), inverses as exp[-k] for exp[k], sums and
+        negatives digit by digit; the rows are kept as lists because indexing
+        a list is the fastest lookup.
         """
         if self._mul_rows is not None or self.order > _ROW_BOUND:
             return
@@ -441,6 +446,8 @@ class Fq(Context):
         log[exp] = np.arange(n - 1)
         mul = np.zeros((n, n), dtype=np.int64)
         mul[1:, 1:] = np.concatenate([exp, exp])[log[1:, None] + log[None, 1:]]
+        inv = np.zeros(n, dtype=np.int64)
+        inv[exp] = exp[-np.arange(n - 1)]
         a = np.arange(n, dtype=np.int64)
         add = np.zeros((n, n), dtype=np.int64)
         neg = np.zeros(n, dtype=np.int64)
@@ -453,6 +460,7 @@ class Fq(Context):
         self._neg_row = neg.tolist()
         self._add_rows = add.tolist()
         self._mul_rows = mul.tolist()
+        self._inv_row = inv.tolist()
 
     def frobenius(self, a: int, i: int = 1) -> int:
         return self.pow_(a, self.p ** (i % self.m if self.m else 1))
@@ -462,6 +470,7 @@ class Fq(Context):
         state["_mul_rows"] = None
         state["_add_rows"] = None
         state["_neg_row"] = None
+        state["_inv_row"] = None
         return state
 
     def __reduce__(self):

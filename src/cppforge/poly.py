@@ -10,13 +10,24 @@ is independent of the factorizer, root extraction in extensions, Dickson
 polynomials, linearized associates, and characteristic polynomials of tower
 elements.
 
+Polynomials below `_ENGINE_MIN` terms, and all polynomials over towers, stay
+on the list path.  Its products and remainders step with one kernel,
+out[off + j] += c·b[j]; over fields of order at most gf._ROW_BOUND that
+kernel indexes the field's dense op rows instead of calling its methods.
+Frobenius powers on this path come from the Frobenius matrix of the modulus
+f, the rows x^(q·i) mod f, built once per call: over a context of order q
+every coefficient satisfies c^q = c, so h^q mod f = sum h_i·(x^(q·i) mod f)
+is one matrix product.  The distinct-degree split and the Rabin test take
+each step that way.
+
 Large-degree work over plain fields (degrees in the hundreds appear in the
 scanners) is routed through a numpy backend that represents a polynomial as
-its GF(p) digit components and multiplies by integer convolution.  Its
-`pow_mod` takes each remainder with two products by a Newton inverse of the
-reversed modulus, computed once per call (von zur Gathen & Gerhard, Modern
-Computer Algebra, §9.1); its `divmod_` and `gcd` share one elimination loop
-whose step is one product of a digit matrix.
+its GF(p) digit components and multiplies by integer convolution, as long as
+its int64 sums cannot overflow (`_on_engine`).  Its `pow_mod` takes each
+remainder with two products by a Newton inverse of the reversed modulus,
+computed once per call (von zur Gathen & Gerhard, Modern Computer Algebra,
+§9.1); its `divmod_` and `gcd` share one elimination loop whose step is one
+product of a digit matrix.
 """
 
 from __future__ import annotations
@@ -59,8 +70,55 @@ class CoefficientsOutsideSubfield(FieldError):
 _ENGINE_MIN = 48  # coefficient count beyond which the numpy backend kicks in
 
 
+def _on_engine(ctx: Context, size: int, terms: int) -> bool:
+    """Whether work of `size` coefficients goes to the numpy backend.
+
+    Only plain fields have the backend, from _ENGINE_MIN coefficients on, and
+    only while its int64 sums cannot overflow.  Digits lie below p.  In
+    `_DenseEngine.mul` one convolution entry sums at most `terms` products of
+    two digits, the shorter operand's length, and each of the 2m - 1
+    t-components adds at most m convolutions: at most m·terms·(p-1)^2.
+    `_fold` adds to each low component at most m - 1 high ones, each times a
+    digit: at most m·terms·(p-1)^2·(1 + (m-1)(p-1)), which must stay below
+    2^63.  The elimination step of `divmod_` and `gcd` and the `_mats`
+    products sum m digit products, so they need the same bound with terms = 1;
+    every product inside `pow_mod`, the Newton inverse included, has a factor
+    shorter than the modulus, so there terms = len(mod).
+    """
+    if not isinstance(ctx, Fq) or size < _ENGINE_MIN:
+        return False
+    p, m = ctx.p, ctx.m
+    return m * terms * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)) < 1 << 63
+
+
 # ---------------------------------------------------------------------------
 # list-space primitives
+
+
+def _axpy(ctx: Context):
+    """The list-path kernel out[off + j] += c·b[j] (j < len b) over ctx.
+
+    Fields of order at most gf._ROW_BOUND carry dense op rows, and then each
+    step is two list lookups, arows[x][mrow[y]] with mrow = mul_rows[c];
+    towers and larger fields call their add and mul methods.
+    """
+    mrows = ctx._mul_rows
+    if mrows is None:
+        add, mul = ctx.add, ctx.mul
+
+        def axpy(out: list, off: int, c: int, b: list) -> None:
+            for k, y in enumerate(b, off):
+                if y:
+                    out[k] = add(out[k], mul(c, y))
+    else:
+        arows = ctx._add_rows
+
+        def axpy(out: list, off: int, c: int, b: list) -> None:
+            mrow = mrows[c]
+            for k, y in enumerate(b, off):
+                if y:
+                    out[k] = arows[out[k]][mrow[y]]
+    return axpy
 
 
 def _trim(c: list) -> list:
@@ -98,17 +156,34 @@ def _pscale(ctx: Context, a: list, c: int) -> list:
 def _pmul(ctx: Context, a: list, b: list) -> list:
     if not a or not b:
         return []
-    if isinstance(ctx, Fq) and len(a) + len(b) >= _ENGINE_MIN:
+    if _on_engine(ctx, len(a) + len(b), min(len(a), len(b))):
         eng = _engine(ctx)
         return eng.from_arr(eng.mul(eng.to_arr(a), eng.to_arr(b)))
-    add, mul = ctx.add, ctx.mul
+    axpy = _axpy(ctx)
     out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = add(out[i + j], mul(ca, cb))
+    for i, c in enumerate(a):
+        if c:
+            axpy(out, i, c, b)
     return _trim(out)
+
+
+def _reduce(ctx: Context, axpy, r: list, b: list) -> list:
+    """Reduce r mod b in place on the list path; return the quotient."""
+    db = len(b) - 1
+    inv_lead = 1 if b[-1] == 1 else ctx.inv(b[-1])
+    # adding c·x^(k-db)·tail to r removes its term c·x^k
+    tail = [0] * db
+    axpy(tail, 0, ctx.neg(inv_lead), b[:db])
+    mul = ctx.mul
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k]
+        if c:
+            q[k - db] = c if inv_lead == 1 else mul(c, inv_lead)
+            axpy(r, k - db, c, tail)
+    del r[db:]
+    _trim(r)
+    return _trim(q)
 
 
 def _pdivmod(ctx: Context, a: list, b: list) -> tuple:
@@ -116,26 +191,12 @@ def _pdivmod(ctx: Context, a: list, b: list) -> tuple:
         raise DivisionByZero("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
-    if isinstance(ctx, Fq) and len(a) >= _ENGINE_MIN:
+    if _on_engine(ctx, len(a), 1):
         eng = _engine(ctx)
         q, r = eng.divmod_(eng.to_arr(a), eng.to_arr(b))
         return eng.from_arr(q), eng.from_arr(r)
-    add, mul, neg = ctx.add, ctx.mul, ctx.neg
-    inv_lead = ctx.inv(b[-1])
-    db = len(b) - 1
     r = list(a)
-    q = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = r[k]
-        if c:
-            f = mul(c, inv_lead)
-            q[k - db] = f
-            r[k] = 0
-            nf = neg(f)
-            for j in range(db):
-                if b[j]:
-                    r[k - db + j] = add(r[k - db + j], mul(nf, b[j]))
-    return _trim(q), _trim(r[:db])
+    return _reduce(ctx, _axpy(ctx), r, b), r
 
 
 def _pmod(ctx: Context, a: list, b: list) -> list:
@@ -149,19 +210,21 @@ def _pmonic(ctx: Context, a: list) -> list:
 
 
 def _pgcd(ctx: Context, a: list, b: list) -> list:
-    if isinstance(ctx, Fq) and max(len(a), len(b)) >= _ENGINE_MIN:
+    if _on_engine(ctx, max(len(a), len(b)), 1):
         eng = _engine(ctx)
         return eng.from_arr(eng.gcd(eng.to_arr(a), eng.to_arr(b)))
     a, b = _trim(list(a)), _trim(list(b))
+    axpy = _axpy(ctx)
     while b:
-        a, b = b, _pmod(ctx, a, b)
+        _reduce(ctx, axpy, a, b)
+        a, b = b, a
     return _pmonic(ctx, a)
 
 
 def _ppow_mod(ctx: Context, a: list, e: int, mod: list) -> list:
     if len(mod) < 2:
         raise ValueError("modulus must have degree >= 1")
-    if isinstance(ctx, Fq) and len(mod) >= _ENGINE_MIN:
+    if _on_engine(ctx, len(mod), len(mod)):
         eng = _engine(ctx)
         return eng.from_arr(eng.pow_mod(eng.to_arr(a), e, eng.to_arr(mod)))
     acc, base = [1], _pmod(ctx, list(a), mod)
@@ -666,21 +729,69 @@ def _squarefree_split(ctx: Context, f: list) -> list:
     return out
 
 
+def _frobenius_rows(ctx: Context, f: list, rows: Optional[list] = None) -> Optional[list]:
+    """The Frobenius matrix of f: rows x^(q·i) mod f for i < deg f.
+
+    Over a context of order q every coefficient satisfies c^q = c, so
+    h ↦ h^q mod f is GF(q)-linear: (sum h_i x^i)^q = sum h_i x^(q·i), and
+    h^q mod f = sum h_i·rows[i] (Berlekamp's Q-matrix; von zur Gathen &
+    Gerhard, Modern Computer Algebra, §14.8).  Building it costs deg f - 1
+    products by x^q mod f.  Given the rows of a multiple of f, it reduces them
+    mod f instead.  Returns None when f goes to the numpy backend, whose
+    Frobenius steps stay pow_mod.
+    """
+    if _on_engine(ctx, len(f), len(f)):
+        return None
+    n, q = len(f) - 1, ctx.order
+    if rows is not None:
+        return [_pmod(ctx, r, f) for r in rows[:n]]
+    # a product by the bare monomial x^q, reduced after, costs about q·n
+    # steps; one by its residue about 2n^2, after one pow_mod
+    xq = [0] * q + [1] if q < 4 * n else _ppow_mod(ctx, [0, 1], q, f)
+    rows = [[1]]
+    while len(rows) < n:
+        rows.append(_pmod(ctx, _pmul(ctx, xq, rows[-1]), f))
+    return rows
+
+
+def _frobenius(ctx: Context, rows: Optional[list], h: list, f: list, k: int = 1) -> list:
+    """h^(q^k) mod f for h reduced mod f: k products by the rows of f, if any."""
+    if rows is None:
+        return _ppow_mod(ctx, h, ctx.order ** k, f)
+    axpy = _axpy(ctx)
+    for _ in range(k):
+        out = [0] * (len(f) - 1)
+        for c, row in zip(h, rows):
+            if c:
+                axpy(out, 0, c, row)
+        h = _trim(out)
+    return h
+
+
 def _distinct_degree_split(ctx: Context, f: list) -> list:
-    """Monic squarefree f -> [(d, product of the irreducible factors of degree d)]."""
+    """Monic squarefree f -> [(d, product of the irreducible factors of degree d)].
+
+    Step d takes h = x^(q^d) mod f* by one product with the Frobenius matrix
+    of f* (`_frobenius_rows`) and splits off gcd(f*, h - x).  When a factor
+    is split off, f* shrinks to a divisor of itself, so its rows are reduced
+    mod the new f* rather than built again.
+    """
     out = []
-    q = ctx.order
     fstar = list(f)
+    rows = _frobenius_rows(ctx, fstar)
     h = [0, 1]
     d = 0
     while len(fstar) - 1 >= 2 * (d + 1):
         d += 1
-        h = _ppow_mod(ctx, h, q, fstar)
+        h = _frobenius(ctx, rows, h, fstar)
         g = _pgcd(ctx, fstar, _psub_x(ctx, h))
         if len(g) > 1:
             out.append((d, g))
             fstar = _pdivmod(ctx, fstar, g)[0]
-            h = _pmod(ctx, h, fstar) if len(fstar) > 1 else [0]
+            if len(fstar) - 1 < 2 * (d + 1):
+                break
+            h = _pmod(ctx, h, fstar)
+            rows = _frobenius_rows(ctx, fstar, rows)
     if len(fstar) > 1:
         out.append((len(fstar) - 1, fstar))
     return out
@@ -769,7 +880,15 @@ def orbit_split(f: Poly) -> tuple:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin test; an independent route from factorize()."""
+    """Rabin test; an independent route from factorize().
+
+    f of degree d is irreducible iff x^(q^d) = x mod f and
+    gcd(f, x^(q^(d/l)) - x) = 1 for every prime l dividing d.  The powers
+    x^(q^k) come in increasing k from the Frobenius matrix of f, one product
+    per step (`_frobenius_rows`; c^q = c for every coefficient, so the map
+    h ↦ h^q mod f is linear), and the test stops at the first gcd that is not
+    1.  On the numpy backend each stretch between two such k is one pow_mod.
+    """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     d = f.degree
@@ -778,16 +897,15 @@ def is_irreducible(f: Poly) -> bool:
     if d == 1:
         return True
     ctx = f.ctx
-    q = ctx.order
     work = _pmonic(ctx, list(f.coeffs))
-    x = [0, 1]
-    if _psub_x(ctx, _ppow_mod(ctx, x, q ** d, work)):
-        return False
-    for ell in factor_int(d):
-        h = _ppow_mod(ctx, x, q ** (d // ell), work)
+    rows = _frobenius_rows(ctx, work)
+    h, done = [0, 1], 0
+    for k in sorted(d // ell for ell in factor_int(d)):
+        h = _frobenius(ctx, rows, h, work, k - done)
+        done = k
         if len(_pgcd(ctx, work, _psub_x(ctx, h))) != 1:
             return False
-    return True
+    return not _psub_x(ctx, _frobenius(ctx, rows, h, work, d - done))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_gcd, gf_pow_mod
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow_mod
 
 from cppforge import poly
 from cppforge.cpp_core import goodness
 from cppforge.gf import mk_field
-from cppforge.poly import Poly, _pdivmod, _pgcd, _pmonic, _pmul, _ppow_mod, orbit_split
+from cppforge.poly import (
+    Poly, _on_engine, _pdivmod, _pgcd, _pmonic, _pmul, _ppow_mod, orbit_split,
+)
 
 FIELDS = [mk_field(p, m) for p, m in
           [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)]]
@@ -144,3 +146,47 @@ def test_orbit_split_and_goodness_agree_with_list_path(data):
     # g = -x·f(-x) has g(0) = 0 and v_g = -f
     g = -(Poly.x(F) * fp.scale_arg(F.neg(1)))
     assert goodness(g) == on_list_path(goodness, g)
+
+
+class TestInt64Bound:
+    """Large p: the engine's int64 sums must not overflow (`poly._on_engine`).
+
+    Over GF(2^31 - 1) a digit product is just below 2^62, so a convolution
+    entry of three or more products passes 2^63: products and powers go to the list
+    path, while divmod, whose elimination sums one product per entry, may
+    stay on the engine.  Over GF(2^32 - 5) even one product does not fit.
+    """
+
+    P31 = mk_field(2 ** 31 - 1, 1)
+    P32 = mk_field(4294967291, 1)
+
+    def test_bound(self):
+        assert _on_engine(self.P31, 60, 2) and not _on_engine(self.P31, 60, 3)
+        assert not _on_engine(self.P32, 60, 1)
+        assert _on_engine(mk_field(65521, 1), 200, 200)
+        assert not _on_engine(self.P31, ENGINE_MIN - 1, 1)
+
+    @pytest.mark.parametrize("F", [P31, P32], ids=["GF(2^31-1)", "GF(2^32-5)"])
+    def test_product(self, F):
+        rnd = random.Random(F.p)
+        a = [rnd.randrange(F.p) for _ in range(30)]
+        b = [rnd.randrange(F.p) for _ in range(30)]
+        expect = _ints(gf_mul(a[::-1], b[::-1], F.p, ZZ))
+        assert _pmul(F, a, b) == on_list_path(_pmul, F, a, b) == expect
+
+    @pytest.mark.parametrize("F", [P31, P32], ids=["GF(2^31-1)", "GF(2^32-5)"])
+    def test_divmod(self, F):
+        rnd = random.Random(F.p + 1)
+        a = [rnd.randrange(F.p) for _ in range(70)] + [1]
+        b = [rnd.randrange(F.p) for _ in range(25)] + [rnd.randrange(1, F.p)]
+        expect = list(ref_divmod(F, a, b))
+        assert list(_pdivmod(F, a, b)) == list(on_list_path(_pdivmod, F, a, b)) == expect
+
+    @pytest.mark.parametrize("F", [P31, P32], ids=["GF(2^31-1)", "GF(2^32-5)"])
+    def test_pow_mod(self, F):
+        rnd = random.Random(F.p + 2)
+        mod = [rnd.randrange(F.p) for _ in range(ENGINE_MIN)] + [1]
+        a = [rnd.randrange(F.p) for _ in range(40)]
+        e = rnd.randrange(2 ** 12, 2 ** 13)
+        expect = ref_pow_mod(F, a, e, mod)
+        assert _ppow_mod(F, a, e, mod) == on_list_path(_ppow_mod, F, a, e, mod) == expect

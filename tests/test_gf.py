@@ -137,6 +137,7 @@ class TestBuildRows:
             assert F._mul_rows[a][b] == bare._mul_slow(a, b)
             assert F._add_rows[a][b] == bare.add(a, b)
         assert F._neg_row == [bare.neg(a) for a in range(F.order)]
+        assert F._inv_row[1:] == [bare.inv(a) for a in range(1, F.order)]
 
     @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
     def test_every_pair(self, p, m):
