@@ -735,19 +735,17 @@ def _frobenius_rows(ctx: Context, f: list, rows: Optional[list] = None) -> Optio
     Over a context of order q every coefficient satisfies c^q = c, so
     h ↦ h^q mod f is GF(q)-linear: (sum h_i x^i)^q = sum h_i x^(q·i), and
     h^q mod f = sum h_i·rows[i] (Berlekamp's Q-matrix; von zur Gathen &
-    Gerhard, Modern Computer Algebra, §14.8).  Building it costs deg f - 1
-    products by x^q mod f.  Given the rows of a multiple of f, it reduces them
-    mod f instead.  Returns None when f goes to the numpy backend, whose
-    Frobenius steps stay pow_mod.
+    Gerhard, Modern Computer Algebra, §14.8).  Building it costs one pow_mod
+    for x^q mod f and deg f - 2 products by it.  Given the rows of a multiple
+    of f, it reduces them mod f instead.  Returns None when f goes to the
+    numpy backend, whose Frobenius steps stay pow_mod.
     """
     if _on_engine(ctx, len(f), len(f)):
         return None
-    n, q = len(f) - 1, ctx.order
+    n = len(f) - 1
     if rows is not None:
         return [_pmod(ctx, r, f) for r in rows[:n]]
-    # a product by the bare monomial x^q, reduced after, costs about q·n
-    # steps; one by its residue about 2n^2, after one pow_mod
-    xq = [0] * q + [1] if q < 4 * n else _ppow_mod(ctx, [0, 1], q, f)
+    xq = _ppow_mod(ctx, [0, 1], ctx.order, f)
     rows = [[1]]
     while len(rows) < n:
         rows.append(_pmod(ctx, _pmul(ctx, xq, rows[-1]), f))
