@@ -69,6 +69,9 @@ class ScanConfig:
             raise ValueError(f"brute bound exceeds hard cap {HARD_BRUTE_CAP}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not isinstance(self.ranges, dict) or not all(
+                isinstance(v, list) for v in self.ranges.values()):
+            raise ValueError("--range must be a JSON object whose values are lists")
 
 
 @dataclass
@@ -414,7 +417,7 @@ def main(argv: Optional[list] = None) -> int:
             out=args.out, fmt=args.format,
         )
         config.validate()
-    except (ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     try:

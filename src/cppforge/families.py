@@ -52,6 +52,7 @@ from .poly import (
     dickson_poly,
     has_root_in_units,
     is_irreducible,
+    least_monic,
     linearized_associate,
     orbit_split,
     pow_mod,
@@ -241,11 +242,15 @@ def construct_a2(base: Fq, n: int, a, e) -> FamilyItem:
     if p != 2:
         if (n // 2) % 2 == 0:
             predicted = k == n
+        elif disc == 0:
+            # each quadratic factor is a square, so the radical of v_g has
+            # the roots -e(alpha_i - 2)/2: one orbit when alpha_i has degree
+            # n/2 over GF(q), which it has for k = n and for odd k = n/2
+            predicted = k in (n, n // 2)
+        elif legendre(base, disc) == -1:
+            predicted = k == n // 2
         else:
-            if disc == 0 or legendre(base, disc) == -1:
-                predicted = k == n // 2
-            else:
-                predicted = k == n
+            predicted = k == n
     else:
         if k not in (n, n // 2):
             predicted = False
@@ -442,21 +447,15 @@ def _primitive_poly(p: int, eps: int, deg: int) -> Poly:
     sub = mk_field(p, eps)
     target = p ** (eps * deg) - 1
     exps = [target // ell for ell in factor_int(target)]
-    for enc in range(sub.order ** deg):
-        coeffs, v = [], enc
-        for _ in range(deg):
-            v, c = divmod(v, sub.order)
-            coeffs.append(c)
-        coeffs.append(1)
-        f = Poly(sub, coeffs)
-        if coeffs[0] == 0 or not is_irreducible(f):
-            continue
-        x = Poly.x(sub)
-        if pow_mod(x, target, f).coeffs != (1,):
-            continue
-        if all(pow_mod(x, t, f).coeffs != (1,) for t in exps):
-            return f
-    raise FieldError("no primitive polynomial found")  # pragma: no cover
+    x = Poly.x(sub)
+
+    # for an irreducible f with f(0) != 0, x is a unit of GF(p^(eps*deg)),
+    # so x^target = 1 and x is primitive iff no x^(target/ell) is 1
+    def primitive(f: Poly) -> bool:
+        return (f.coeffs[0] != 0 and is_irreducible(f)
+                and all(pow_mod(x, t, f).coeffs != (1,) for t in exps))
+
+    return least_monic(sub, deg, primitive)
 
 
 def _subfield_embedding(sub: Fq, sup: Fq):

@@ -11,6 +11,9 @@ encoding of their coefficient vector, constant term first:
 
 Integer order of encodings therefore defines the canonical "least element"
 used for every deterministic choice (moduli, primitive elements, roots).
+The moduli are the encoding-least monic irreducibles, found by
+`poly.least_monic` with `poly.is_irreducible`; this module has no polynomial
+arithmetic of its own.
 
 Contexts (Fq, Tower) own the arithmetic and are interned, so two independent
 constructions of the same field are the same object.  Small fields get dense
@@ -593,95 +596,6 @@ def _rebuild_tower(p: int, m: int, n: int) -> "Tower":
 
 
 # ---------------------------------------------------------------------------
-# minimal list-based polynomial helpers over a context (for modulus search;
-# kept independent of the full polynomial module on purpose)
-
-
-def _gp_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _gp_mulmod(ctx: Context, a: list, b: list, mod: list) -> list:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    prod[i + j] = ctx.add(prod[i + j], ctx.mul(ca, cb))
-    dm = len(mod) - 1
-    inv_lead = ctx.inv(mod[-1])
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i]
-        if c:
-            f = ctx.mul(c, inv_lead)
-            prod[i] = 0
-            for j in range(dm):
-                if mod[j]:
-                    prod[i - dm + j] = ctx.sub(prod[i - dm + j], ctx.mul(f, mod[j]))
-    return _gp_trim(prod[:dm])
-
-
-def _gp_powmod(ctx: Context, a: list, e: int, mod: list) -> list:
-    acc, base = [1], list(a)
-    while e:
-        if e & 1:
-            acc = _gp_mulmod(ctx, acc, base, mod)
-        base = _gp_mulmod(ctx, base, base, mod)
-        e >>= 1
-    return acc
-
-
-def _gp_gcd(ctx: Context, a: list, b: list) -> list:
-    a, b = _gp_trim(list(a)), _gp_trim(list(b))
-    while b:
-        # remainder of a by b
-        r = list(a)
-        inv_lead = ctx.inv(b[-1])
-        db = len(b) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i]
-            if c:
-                f = ctx.mul(c, inv_lead)
-                r[i] = 0
-                for j in range(db):
-                    if b[j]:
-                        r[i - db + j] = ctx.sub(r[i - db + j], ctx.mul(f, b[j]))
-        a, b = b, _gp_trim(r[:db])
-    if a:
-        inv_lead = ctx.inv(a[-1])
-        a = [ctx.mul(c, inv_lead) for c in a]
-    return a
-
-
-def _gp_sub_x(ctx: Context, h: list) -> list:
-    out = list(h) + [0] * max(0, 2 - len(h))
-    out[1] = ctx.sub(out[1], 1)
-    return _gp_trim(out)
-
-
-def irreducible_over(ctx: Context, coeffs: Iterable[int]) -> bool:
-    """Rabin irreducibility test for a monic polynomial over the context."""
-    f = _gp_trim(list(coeffs))
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = ctx.order
-    x = [0, 1]
-    if _gp_sub_x(ctx, _gp_powmod(ctx, x, q ** d, f)):
-        return False
-    for ell in factor_int(d):
-        h = _gp_powmod(ctx, x, q ** (d // ell), f)
-        g = _gp_gcd(ctx, f, _gp_sub_x(ctx, h))
-        if len(g) != 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # constructors (interned)
 
 _FIELD_CACHE: dict = {}
@@ -703,20 +617,8 @@ def mk_field(p: int, m: int) -> Fq:
     if m == 1:
         modulus = (0, 1)  # the formal modulus x - 0
     else:
-        fp = mk_field(p, 1)
-        modulus = None
-        for enc in range(p ** m):
-            cand = []
-            e = enc
-            for _ in range(m):
-                e, r = divmod(e, p)
-                cand.append(r)
-            cand.append(1)
-            if irreducible_over(fp, cand):
-                modulus = tuple(cand)
-                break
-        if modulus is None:  # pragma: no cover
-            raise FieldError("no irreducible modulus found")
+        from .poly import is_irreducible, least_monic
+        modulus = least_monic(mk_field(p, 1), m, is_irreducible).coeffs
     ctx = Fq(p, m, modulus)
     if ctx.order <= _ROW_BOUND:
         ctx.build_rows()
@@ -734,23 +636,8 @@ def mk_tower(base: Fq, n: int) -> Tower:
         raise DegreeZero("tower degree must be >= 1")
     if base.order ** n > max_field_order():
         raise FieldTooLarge(f"{base.order}^{n} exceeds the configured field bound")
-    q = base.order
-    ext = None
-    if n == 1:
-        ext = (0, 1)
-    else:
-        for enc in range(q ** n):
-            cand = []
-            e = enc
-            for _ in range(n):
-                e, r = divmod(e, q)
-                cand.append(r)
-            cand.append(1)
-            if irreducible_over(base, cand):
-                ext = tuple(cand)
-                break
-        if ext is None:  # pragma: no cover
-            raise FieldError("no irreducible ext modulus found")
+    from .poly import is_irreducible, least_monic
+    ext = least_monic(base, n, is_irreducible).coeffs
     ctx = Tower(base, n, ext)
     _TOWER_CACHE[key] = ctx
     return ctx

@@ -8,7 +8,9 @@ context-derived deterministic seed), the Frobenius orbit sizes of the roots
 from the distinct-degree split alone, a Rabin-style irreducibility test that
 is independent of the factorizer, root extraction in extensions, Dickson
 polynomials, linearized associates, and characteristic polynomials of tower
-elements.
+elements.  `least_monic` walks monic candidates in encoding order; with
+`is_irreducible` as its test it finds the field and tower moduli of `gf`,
+which imports both inside its constructors.
 
 Polynomials below `_ENGINE_MIN` terms, and all polynomials over towers, stay
 on the list path.  Its products and remainders step with one kernel,
@@ -904,6 +906,24 @@ def is_irreducible(f: Poly) -> bool:
         if len(_pgcd(ctx, work, _psub_x(ctx, h))) != 1:
             return False
     return not _psub_x(ctx, _frobenius(ctx, rows, h, work, d - done))
+
+
+def least_monic(ctx: Context, deg: int, accept) -> Poly:
+    """The encoding-least monic f of degree deg over ctx with accept(f).
+
+    Candidates are walked in the order of the integer sum c_i·q^i of their
+    lower coefficients, q = |ctx|: the order that picks every modulus of `gf`.
+    """
+    q = ctx.order
+    for enc in range(q ** deg):
+        coeffs, rest = [], enc
+        for _ in range(deg):
+            rest, c = divmod(rest, q)
+            coeffs.append(c)
+        f = Poly(ctx, coeffs + [1], trusted=True)
+        if accept(f):
+            return f
+    raise FieldError(f"no monic polynomial of degree {deg} over {ctx!r} is accepted")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from cppforge import cli
 from cppforge.cli import ScanConfig, main, run_scan
-from cppforge.gf import FqElem
+from cppforge.gf import HARD_BRUTE_CAP, FqElem
 
 
 class TestScanDegreeGuard:
@@ -106,3 +106,23 @@ class TestDistinctCpp:
         assert report["counts"]["verifiedCpp"] == 8
         assert report["counts"]["distinctCpp"] == 4
         assert len({json.dumps(w["b"]) for w in report["witnesses"]}) == 4
+
+
+SCAN = ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "no-such-witness-file.json"],
+    SCAN + ["--range", "[1]"],
+    SCAN + ["--range", '{"e": 5}'],
+    SCAN + ["--range", '{"e": [1'],
+    SCAN + ["--workers", "0"],
+    ["scan", "--p", "6", "--n", "4", "--family", "A1"],
+    SCAN + ["--brute-bound", str(HARD_BRUTE_CAP + 1)],
+    ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A9"],
+], ids=["missing-file", "range-list", "range-int", "bad-json", "workers-0",
+        "p-not-prime", "brute-bound", "unknown-family"])
+def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")

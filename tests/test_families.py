@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cppforge.cpp_core import goodness, v_poly
-from cppforge.families import _deg9_forced_iii, _deg9_forced_iv, classify_deg9
+from cppforge.families import _deg9_forced_iii, _deg9_forced_iv, classify_deg9, construct_a2
 from cppforge.gf import mk_field, mk_tower
 from cppforge.poly import Poly, factorize, roots_in
 
@@ -60,3 +60,28 @@ class TestDeg9CaseIv:
         assert res.case_index == "iv" and res.good
         assert factorize(v_poly(res.f_poly)).factors == ((Poly(base, [a2, 0, 1]), 4),)
         assert goodness(res.f_poly).is_good
+
+
+class TestA2SquareDiscriminant:
+    """A2 with odd p, n/2 odd and e^2 = 4a.
+
+    v_g is the product of x^2 + e(alpha_i - 2)x + (alpha_i - 2)((alpha_i + 2)a
+    - e^2), alpha_i = z^i + z^-i for i = 1..n/2 and z of order n + 1.  Its
+    discriminant is (alpha_i^2 - 4)(e^2 - 4a), which vanishes, so the radical
+    has the n/2 roots -e(alpha_i - 2)/2.  They form one orbit when alpha_i has
+    degree n/2 over GF(q).  Over GF(5) with n = 6, q has order k = 6 = n
+    modulo 7, so q^3 = -1 and alpha_i has degree 3: all four items are good.
+    """
+
+    def test_gf5_n6_items_are_good(self):
+        base = mk_field(5, 1)
+        items = [construct_a2(base, 6, a, e) for a in base.units() for e in base.units()
+                 if (e * e - 4 * a) % 5 == 0]
+        assert [(it.params.params["a"], it.params.params["e"]) for it in items] == [
+            (1, 2), (1, 3), (4, 1), (4, 4)]
+        for it in items:
+            assert it.predicted_good and goodness(it.g).is_good
+            top = it.predicted_roots[0].ctx
+            roots = [r.val for r, _ in roots_in(v_poly(it.g), top)]
+            assert len(roots) == 3
+            assert sorted(r.val for r in it.predicted_roots) == roots

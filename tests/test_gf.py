@@ -91,6 +91,34 @@ class TestMkField:
         assert mk_field(2, 4).modulus == brute_lex_modulus(2, 4)
         assert mk_field(3, 3).modulus == brute_lex_modulus(3, 3)
 
+    # Read from an earlier release, whose modulus search was its own Rabin
+    # test.  Stored witness files carry these moduli, and witness_from_json
+    # rejects a file whose moduli no longer match.
+    PINNED_FIELDS = {
+        (2, 2): (1, 1, 1),
+        (2, 5): (1, 0, 1, 0, 0, 1),
+        (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+        (2, 24): (1, 1, 0, 1, 1) + (0,) * 19 + (1,),
+        (3, 2): (1, 0, 1),
+        (3, 6): (2, 1, 0, 0, 0, 0, 1),
+        (5, 4): (2, 0, 0, 0, 1),
+    }
+    PINNED_TOWERS = {
+        (2, 5, 4): (1, 1, 0, 0, 1),
+        (3, 2, 4): (4, 0, 0, 0, 1),
+        (2, 2, 3): (2, 0, 0, 1),
+        (5, 1, 4): (2, 0, 0, 0, 1),
+        (3, 1, 6): (2, 1, 0, 0, 0, 0, 1),
+        (2, 1, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    }
+
+    def test_moduli_are_pinned(self):
+        got = {pm: mk_field(*pm).modulus for pm in self.PINNED_FIELDS}
+        assert got == self.PINNED_FIELDS
+        got = {(p, m, n): mk_tower(mk_field(p, m), n).ext_modulus
+               for p, m, n in self.PINNED_TOWERS}
+        assert got == self.PINNED_TOWERS
+
     def test_errors(self):
         with pytest.raises(NotPrime):
             mk_field(6, 1)

@@ -5,8 +5,9 @@
   computed on a copy of the field that has no rows.
 * `_distinct_degree_split` and `is_irreducible` take their Frobenius powers
   from the matrix of `_frobenius_rows`.  The references are a copy of the
-  former pow_mod loop and `gf.irreducible_over`, the Rabin test of the gf
-  layer.
+  former pow_mod loop and, for irreducibility, sympy's `gf_irreducible_p`
+  over prime fields and a Rabin test with one pow_mod per power elsewhere;
+  the counts of irreducibles are checked against Gauss's formula.
 
 Every check runs over fields with rows (GF(2), GF(5), GF(9)), fields without
 (GF(3^6), GF(2^10)) and a tower (GF(4^3)).
@@ -14,9 +15,12 @@ Every check runs over fields with rows (GF(2), GF(5), GF(9)), fields without
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import divisors, mobius, primefactors
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from cppforge import gf
-from cppforge.gf import irreducible_over, mk_field, mk_tower
+from cppforge.gf import mk_field, mk_tower
 from cppforge.poly import (
     Poly,
     _distinct_degree_split,
@@ -27,6 +31,7 @@ from cppforge.poly import (
     _pmonic,
     _pmul,
     _ppow_mod,
+    _psub,
     _psub_x,
     _trim,
     is_irreducible,
@@ -117,6 +122,23 @@ def ref_split(ctx, f: list) -> list:
     return out
 
 
+def ref_irreducible(ctx, f: list) -> bool:
+    """sympy's Rabin test over prime fields; elsewhere Rabin with one pow_mod per power.
+
+    f of degree d is irreducible iff x^(q^d) = x mod f and gcd(f, x^(q^(d/l)) - x)
+    = 1 for each prime l | d.  x is taken mod f, which matters for d = 1.
+    """
+    f = _pmonic(ctx, f)
+    if isinstance(ctx, gf.Fq) and ctx.m == 1:
+        return gf_irreducible_p(f[::-1], ctx.p, ZZ)
+    d, q, x = len(f) - 1, ctx.order, _pmod(ctx, [0, 1], f)
+    for ell in primefactors(d):
+        h = _ppow_mod(ctx, x, q ** (d // ell), f)
+        if len(_pgcd(ctx, f, _psub(ctx, h, x))) != 1:
+            return False
+    return _ppow_mod(ctx, x, q ** d, f) == x
+
+
 def squarefree_product(ctx, data) -> list:
     """The radical of a product of 1..4 random monic factors of degree 1..4."""
     factors = data.draw(st.lists(polys(ctx, 2, 5, monic=True), min_size=1, max_size=4))
@@ -153,14 +175,14 @@ class TestFrobeniusMatrix:
     @given(data=st.data())
     def test_irreducible_matches_gf_rabin(self, ctx, data):
         f = data.draw(polys(ctx, 2, 9))
-        assert is_irreducible(Poly(ctx, f)) == irreducible_over(ctx, _pmonic(ctx, f))
+        assert is_irreducible(Poly(ctx, f)) == ref_irreducible(ctx, f)
 
     @bounded
     @given(data=st.data())
     def test_irreducible_of_products(self, ctx, data):
         f = _pmul(ctx, data.draw(polys(ctx, 2, 4)), data.draw(polys(ctx, 2, 5)))
         assert not is_irreducible(Poly(ctx, f))
-        assert not irreducible_over(ctx, _pmonic(ctx, f))
+        assert not ref_irreducible(ctx, f)
 
 
 def test_split_shrinks_mid_split():
@@ -174,12 +196,24 @@ def test_split_shrinks_mid_split():
     assert _distinct_degree_split(F, f) == [(1, [0, 1, 1]), (5, quintic)] == ref_split(F, f)
 
 
+def irreducible_counts(F, top: int) -> list:
+    """How many monic polynomials of each degree 1..top over F is_irreducible accepts."""
+    q, out = F.order, []
+    for d in range(1, top + 1):
+        out.append(sum(is_irreducible(Poly(F, [e // q ** i % q for i in range(d)] + [1]))
+                       for e in range(q ** d)))
+    return out
+
+
 def test_irreducible_counts_over_gf2():
     # monic irreducibles of degree d over GF(2): 2, 1, 2, 3, 6, 9, 18, 30
-    F = mk_field(2, 1)
-    counts = [sum(is_irreducible(Poly(F, [(e >> i) & 1 for i in range(d)] + [1]))
-                  for e in range(2 ** d)) for d in range(1, 9)]
-    assert counts == [2, 1, 2, 3, 6, 9, 18, 30]
+    assert irreducible_counts(mk_field(2, 1), 8) == [2, 1, 2, 3, 6, 9, 18, 30]
+    # over GF(q), Gauss's count (1/d)·sum over e | d of mu(d/e)·q^e
+    for F, top in ((mk_field(3, 1), 6), (mk_field(2, 2), 5)):
+        q = F.order
+        gauss = [sum(mobius(d // e) * q ** e for e in divisors(d)) // d
+                 for d in range(1, top + 1)]
+        assert irreducible_counts(F, top) == gauss
 
 
 def test_engine_sized_moduli_keep_pow_mod():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cppforge import gf
-from cppforge.gf import elem, irreducible_over, mk_field, mk_tower
+from cppforge.gf import elem, mk_field, mk_tower
 from cppforge.poly import (
     ConstantPolynomial,
     Poly,
@@ -106,8 +106,8 @@ class TestFactorize:
                 d = rng.randrange(1, min(5, target - total) + 1)
                 while True:
                     cand = [rng.randrange(ctx.order) for _ in range(d)] + [1]
-                    # independent irreducibility check from the gf layer
-                    if irreducible_over(ctx, cand):
+                    # is_irreducible takes the Rabin route, not factorize's
+                    if is_irreducible(Poly(ctx, cand)):
                         break
                 factors.append(Poly(ctx, cand))
                 total += d
