@@ -5,7 +5,13 @@ import random
 import pytest
 
 from cppforge.cpp_core import goodness, v_poly
-from cppforge.families import _deg9_forced_iii, _deg9_forced_iv, classify_deg9, construct_a2
+from cppforge.families import (
+    _deg9_forced_iii,
+    _deg9_forced_iv,
+    _primitive_poly,
+    classify_deg9,
+    construct_a2,
+)
 from cppforge.gf import mk_field, mk_tower
 from cppforge.poly import Poly, factorize, roots_in
 
@@ -85,3 +91,16 @@ class TestA2SquareDiscriminant:
             roots = [r.val for r, _ in roots_in(v_poly(it.g), top)]
             assert len(roots) == 3
             assert sorted(r.val for r in it.predicted_roots) == roots
+
+
+@pytest.mark.parametrize("p, eps, deg, coeffs", [
+    (5, 1, 1, (2, 1)),          # x + 2: its root 3 generates GF(5)*, x + 1's root 4 does not
+    (3, 2, 1, (4, 1)),
+    (2, 1, 5, (1, 0, 1, 0, 0, 1)),
+    (2, 2, 3, (2, 1, 1, 1)),
+    (5, 1, 4, (2, 2, 1, 0, 1)),
+])
+def test_primitive_poly_is_encoding_least(p, eps, deg, coeffs):
+    # values read from the modulus search before it moved onto poly.least_monic;
+    # at degree 1 the candidate x is irreducible but has no unit root
+    assert _primitive_poly(p, eps, deg).coeffs == coeffs

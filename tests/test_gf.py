@@ -91,9 +91,9 @@ class TestMkField:
         assert mk_field(2, 4).modulus == brute_lex_modulus(2, 4)
         assert mk_field(3, 3).modulus == brute_lex_modulus(3, 3)
 
-    # Read from an earlier release, whose modulus search was its own Rabin
-    # test.  Stored witness files carry these moduli, and witness_from_json
-    # rejects a file whose moduli no longer match.
+    # Read from the code before the modulus search moved onto
+    # poly.is_irreducible.  Stored witness files carry these moduli, and
+    # witness_from_json rejects a file whose moduli no longer match.
     PINNED_FIELDS = {
         (2, 2): (1, 1, 1),
         (2, 5): (1, 0, 1, 0, 0, 1),
