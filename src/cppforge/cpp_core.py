@@ -6,9 +6,10 @@ over GF(q) are the roots of v_g(x) = (g(-x) - g(0))/(-x) for a suitable
 degree-(n+1) permutation polynomial g over GF(q) whose roots of v_g form a
 single Frobenius orbit; such g are called good.  This module provides:
 
-* v_g and the goodness report (gate conditions plus the single-orbit test,
-  read off the orbit sizes that the distinct-degree split of the radical of
-  v_g gives);
+* v_g and the goodness report: the gate conditions first, then the
+  single-orbit test, read off the first part of the lazy distinct-degree
+  split of the radical of v_g (g is good iff that part is the whole
+  radical); the full orbit sizes are computed only on request;
 * brute-force permutation / complete-permutation oracles, vectorised over the
   whole field through exp/log tables;
 * the Frobenius orbit structure of the roots of a polynomial, from the same
@@ -40,8 +41,10 @@ from .gf import (
 from .poly import (
     ConstantPolynomial,
     Poly,
+    orbit_parts,
     orbit_split,
     roots_in,
+    squarefree_part,
 )
 
 
@@ -199,10 +202,23 @@ ROOT_IN_BASE_FIELD = "RootInBaseField"
 class GoodnessReport:
     g: Poly
     vg: Poly
-    radical: Poly           # monic; irreducible exactly when g is good
-    orbit_sizes: tuple
     is_good: bool
     reason: str
+    _radical: Optional[Poly] = None     # set when the orbit test ran
+
+    @property
+    def radical(self) -> Poly:
+        """The monic radical of v_g; irreducible exactly when g is good."""
+        return self._radical if self._radical is not None else squarefree_part(self.vg)
+
+    @property
+    def orbit_sizes(self) -> tuple:
+        """Sizes of the Frobenius orbits of the roots of v_g, increasing.
+
+        Computed on each request from the full distinct-degree split, as
+        `orbit_structure` gives it; the verdict never needs them.
+        """
+        return tuple(d for d, _ in orbit_structure(self.vg))
 
 
 def goodness(g: Poly) -> GoodnessReport:
@@ -210,23 +226,27 @@ def goodness(g: Poly) -> GoodnessReport:
 
     Good means g(0) = 0, g'(0) != 0, and the distinct roots of v_g form one
     orbit under x -> x^q (equivalently the radical of v_g is irreducible over
-    the coefficient field).  The orbit sizes come from the distinct-degree
-    split of the radical; v_g is never factored completely.
+    the coefficient field).  The gates come first, before any squarefree or
+    Frobenius work.  The orbit test reads only the first part (d, part) of
+    the lazy distinct-degree split of the radical (`orbit_parts`): g is good
+    iff d = deg(radical), so the part is the radical itself; otherwise the
+    reason is RootInBaseField for d = 1 and MultipleOrbits for d > 1.  v_g is
+    never factored completely, and `orbit_sizes` is computed on demand.
     """
     if g.degree < 2:
         raise ConstantPolynomial("need degree >= 2")
     vg = v_poly(g)
-    radical, parts = orbit_split(vg)
-    orbit_sizes = tuple(d for d, part in parts for _ in range(part.degree // d))
     if g.coeff(0) != 0:
-        return GoodnessReport(g, vg, radical, orbit_sizes, False, G_ZERO_NONZERO)
+        return GoodnessReport(g, vg, False, G_ZERO_NONZERO)
     if vg.coeff(0) == 0:
         # v_g(0) is g'(0) exactly
-        return GoodnessReport(g, vg, radical, orbit_sizes, False, G_PRIME_ZERO)
-    if len(orbit_sizes) == 1:
-        return GoodnessReport(g, vg, radical, orbit_sizes, True, GOOD)
-    reason = ROOT_IN_BASE_FIELD if orbit_sizes[0] == 1 else MULTIPLE_ORBITS
-    return GoodnessReport(g, vg, radical, orbit_sizes, False, reason)
+        return GoodnessReport(g, vg, False, G_PRIME_ZERO)
+    radical = squarefree_part(vg)
+    d, _ = next(orbit_parts(radical))
+    if d == radical.degree:
+        return GoodnessReport(g, vg, True, GOOD, radical)
+    reason = ROOT_IN_BASE_FIELD if d == 1 else MULTIPLE_ORBITS
+    return GoodnessReport(g, vg, False, reason, radical)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from .poly import (
     is_irreducible,
     least_monic,
     linearized_associate,
+    orbit_parts,
     orbit_split,
     pow_mod,
     roots_in,
@@ -608,9 +609,9 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
         good = is_irreducible(Poly(base, [a8, 0, a6, 0, 0, 0, 0, 0, 1]))
     elif case == "iii":
         # w lies over GF(q), so it has a root in GF(q^4) exactly when it has
-        # an irreducible factor of degree 1, 2 or 4
+        # an irreducible factor of degree 1, 2 or 4; the split stops there
         w = Poly(base, [base.mul(2, a4), 0, base.mul(2, a3), 0, 0, 0, 0, 0, 1])
-        good = all(4 % d for d, _ in orbit_split(w)[1])
+        good = not any(4 % d == 0 for d, _ in orbit_parts(squarefree_part(w)))
     elif case == "iv":
         # good asks for one orbit of roots, so the radical of v_F must be
         # irreducible; v_F itself can be a power, e.g. (x^2 + A2)^4 when

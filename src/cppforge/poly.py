@@ -5,7 +5,8 @@ leading coefficient nonzero (the zero polynomial is the empty tuple).  The
 module provides exact ring arithmetic, gcd, factorization into irreducibles
 (squarefree split, distinct-degree split, equal-degree split with a
 context-derived deterministic seed), the Frobenius orbit sizes of the roots
-from the distinct-degree split alone, a Rabin-style irreducibility test that
+from the distinct-degree split alone (`orbit_parts` yields it part by part,
+so a caller can stop at the first), a Rabin-style irreducibility test that
 is independent of the factorizer, root extraction in extensions, Dickson
 polynomials, linearized associates, and characteristic polynomials of tower
 elements.  `least_monic` walks monic candidates in encoding order; with
@@ -768,16 +769,19 @@ def _frobenius(ctx: Context, rows: Optional[list], h: list, f: list, k: int = 1)
     return h
 
 
-def _distinct_degree_split(ctx: Context, f: list) -> list:
-    """Monic squarefree f -> [(d, product of the irreducible factors of degree d)].
+def orbit_parts(rad: Poly):
+    """The distinct-degree split of a monic squarefree rad, lazily.
 
-    Step d takes h = x^(q^d) mod f* by one product with the Frobenius matrix
-    of f* (`_frobenius_rows`) and splits off gcd(f*, h - x).  When a factor
-    is split off, f* shrinks to a divisor of itself, so its rows are reduced
-    mod the new f* rather than built again.
+    Yields (d, product of the monic degree-d irreducible factors of rad) for
+    each nonempty part, d increasing, so a caller that stops after a part
+    pays for no step beyond its d.  Step d takes h = x^(q^d) mod f* by one
+    product with the Frobenius matrix of f* (`_frobenius_rows`) and splits
+    off gcd(f*, h - x).  When a factor is split off, f* shrinks to a divisor
+    of itself, so its rows are reduced mod the new f* rather than built
+    again.
     """
-    out = []
-    fstar = list(f)
+    ctx = rad.ctx
+    fstar = list(rad.coeffs)
     rows = _frobenius_rows(ctx, fstar)
     h = [0, 1]
     d = 0
@@ -786,15 +790,19 @@ def _distinct_degree_split(ctx: Context, f: list) -> list:
         h = _frobenius(ctx, rows, h, fstar)
         g = _pgcd(ctx, fstar, _psub_x(ctx, h))
         if len(g) > 1:
-            out.append((d, g))
+            yield d, Poly(ctx, g, trusted=True)
             fstar = _pdivmod(ctx, fstar, g)[0]
             if len(fstar) - 1 < 2 * (d + 1):
                 break
             h = _pmod(ctx, h, fstar)
             rows = _frobenius_rows(ctx, fstar, rows)
     if len(fstar) > 1:
-        out.append((len(fstar) - 1, fstar))
-    return out
+        yield len(fstar) - 1, Poly(ctx, fstar, trusted=True)
+
+
+def _distinct_degree_split(ctx: Context, f: list) -> list:
+    """All of `orbit_parts` for a monic squarefree list f, parts as lists."""
+    return [(d, list(g.coeffs)) for d, g in orbit_parts(Poly(ctx, f, trusted=True))]
 
 
 def _equal_degree_split(ctx: Context, f: list, d: int, rng_state: list) -> list:
@@ -866,17 +874,14 @@ def orbit_split(f: Poly) -> tuple:
     """The radical of f and its distinct-degree split.
 
     Returns (rad, [(d, product of the monic degree-d irreducible factors of
-    rad)]) with d increasing.  The roots of a degree-d irreducible form one
-    Frobenius orbit of size d, so each part holds deg(part)/d orbits of size
-    d; no equal-degree splitting is done.
+    rad)]) with d increasing, all of `orbit_parts(rad)`.  The roots of a
+    degree-d irreducible form one Frobenius orbit of size d, so each part
+    holds deg(part)/d orbits of size d; no equal-degree splitting is done.
     """
     if f.degree == 0:
         raise ConstantPolynomial("need degree >= 1")
     rad = squarefree_part(f)
-    ctx = f.ctx
-    parts = [(d, Poly(ctx, g, trusted=True))
-             for d, g in _distinct_degree_split(ctx, list(rad.coeffs))]
-    return rad, parts
+    return rad, list(orbit_parts(rad))
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -1,10 +1,15 @@
 """Scan orchestration: which items reach witness extraction."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import cppforge
 from cppforge import cli
 from cppforge.cli import ScanConfig, main, run_scan
 from cppforge.gf import HARD_BRUTE_CAP, FqElem
@@ -126,3 +131,22 @@ def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestModuleEntryPoint:
+    """`python -m cppforge` runs `cli.main` and exits with its code."""
+
+    def _run(self, *argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(cppforge.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "cppforge", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    def test_help_exits_0(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: cppforge")
+
+    def test_config_error_exits_2(self):
+        proc = self._run(*SCAN, "--workers", "0")
+        assert proc.returncode == 2 and proc.stderr.startswith("config error:")

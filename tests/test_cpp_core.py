@@ -5,10 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cppforge import gf
+from cppforge import gf, poly
+from cppforge.families import construct_c
 from cppforge.gf import FieldTooLarge, elem, mk_field, mk_tower
-from cppforge.poly import ConstantPolynomial, Poly, factorize, roots_in
+from cppforge.poly import ConstantPolynomial, Poly, factorize, orbit_split, roots_in
 from cppforge.cpp_core import (
     CppWitness,
     DegreeNotNPlusOne,
@@ -179,6 +181,76 @@ class TestGoodness:
             assert factorize(rep.vg).expand() == rep.vg
             assert rep.orbit_sizes == tuple(sorted(
                 f.degree for f, _ in factorize(rep.vg).factors))
+
+
+def _counting(mp, name: str) -> list:
+    """Count the calls of poly.<name> made while mp is active."""
+    calls = [0]
+    inner = getattr(poly, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    mp.setattr(poly, name, counted)
+    return calls
+
+
+def _goodness_from_full_split(g: Poly) -> tuple:
+    """(is_good, reason, radical, orbit_sizes) read off the whole orbit_split(v_g)."""
+    vg = v_poly(g)
+    radical, parts = orbit_split(vg)
+    sizes = tuple(d for d, part in parts for _ in range(part.degree // d))
+    if g.coeff(0) != 0:
+        reason = "GZeroNonzero"
+    elif vg.coeff(0) == 0:
+        reason = "GPrimeZero"
+    elif len(sizes) == 1:
+        reason = "Good"
+    else:
+        reason = "RootInBaseField" if sizes[0] == 1 else "MultipleOrbits"
+    return reason == "Good", reason, radical, sizes
+
+
+class TestGoodnessEarlyExit:
+    """`goodness` gates first and then reads only the first part of the split."""
+
+    @pytest.mark.parametrize("coeffs, reason", [([1, 1, 0, 1], "GZeroNonzero"),
+                                                ([0, 0, 1, 1], "GPrimeZero")])
+    def test_gates_make_no_gcd(self, coeffs, reason):
+        g = Poly(F5, coeffs)
+        with pytest.MonkeyPatch.context() as mp:
+            gcds = _counting(mp, "_pgcd")
+            rep = goodness(g)
+            assert rep.reason == reason and gcds[0] == 0
+            # the radical is still there on request
+            assert rep.radical == orbit_split(rep.vg)[0]
+
+    def test_c_item_stops_after_two_frobenius_steps(self):
+        # v_g of C {r: 3, a: 4, e: 8} over GF(9) has degree 350 and a part of
+        # degree-2 irreducibles; the full split runs on to d = 12
+        g = construct_c(F9, 3, 4, 8).g
+        with pytest.MonkeyPatch.context() as mp:
+            steps = _counting(mp, "_frobenius")
+            rep = goodness(g)
+        assert rep.reason == "MultipleOrbits" and steps[0] <= 2
+
+    @pytest.mark.parametrize("path", ["list", "engine"])
+    @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=["GF2", "GF3", "GF4", "GF9"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_full_split(self, F, path, data):
+        q = F.order
+        g = Poly(F, [data.draw(st.sampled_from([0, 0, 0, 1]))]
+                 + data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=10))
+                 + [data.draw(st.integers(1, q - 1))])
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "engine":
+                # every polynomial of two or more coefficients goes to the engine
+                mp.setattr(poly, "_ENGINE_MIN", 2)
+            rep = goodness(g)
+            got = (rep.is_good, rep.reason, rep.radical, rep.orbit_sizes)
+            assert got == _goodness_from_full_split(g)
 
 
 class TestOrbitStructure:

@@ -13,7 +13,7 @@ from cppforge.families import (
     construct_a2,
 )
 from cppforge.gf import mk_field, mk_tower
-from cppforge.poly import Poly, factorize, roots_in
+from cppforge.poly import Poly, factorize, orbit_split, roots_in
 
 
 def _case_iii_shapes(base) -> list:
@@ -46,6 +46,17 @@ class TestDeg9CaseIii:
         shapes = _case_iii_shapes(base)
         assert len(shapes) == 270
         self._check(base, random.Random(9).sample(shapes, 30))
+
+    def test_early_exit_equals_full_split_gf9(self):
+        # the classifier stops at the first part whose degree divides 4
+        base = mk_field(3, 2)
+        verdicts = []
+        for A in _case_iii_shapes(base):
+            w = Poly(base, [base.mul(2, A[3]), 0, base.mul(2, A[2]), 0, 0, 0, 0, 0, 1])
+            full = all(4 % d for d, _ in orbit_split(w)[1])
+            assert classify_deg9(base, A).good == full
+            verdicts.append(full)
+        assert len(verdicts) == 270 and any(verdicts) and not all(verdicts)
 
 
 class TestDeg9CaseIv:
