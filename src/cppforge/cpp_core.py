@@ -10,8 +10,10 @@ single Frobenius orbit; such g are called good.  This module provides:
   single-orbit test, read off the first part of the lazy distinct-degree
   split of the radical of v_g (g is good iff that part is the whole
   radical); the full orbit sizes are computed only on request;
-* brute-force permutation / complete-permutation oracles, vectorised over the
-  whole field through exp/log tables;
+* brute-force permutation / complete-permutation oracles over the whole
+  field: the units are laid out in rows by the cosets of the units of the
+  base field, so each term of b^(-1) x^d + x is a rotation of one row of the
+  exp table, and the values come zero first, then row by row;
 * the Frobenius orbit structure of the roots of a polynomial, from the same
   split, with least-element orbit representatives on request;
 * extraction and verification of witness elements b from a good g;
@@ -89,44 +91,73 @@ def v_poly(g: Poly) -> Poly:
 
 
 def _eval_all_sparse(ctx: Context, terms: dict, brute_bound: int) -> np.ndarray:
-    """Values of sum(c_j x^j) over every field element (zero first)."""
+    """Values of sum(c_j x^j) over every field element, zero first.
+
+    Let m = |F| - 1, Q = q - 1 on a tower GF(q^n) with n > 1 and Q = 1 on a
+    field (a tower of degree 1 is one; Q = q - 1 would leave rows of length
+    1), and M = m/Q.  Every unit is gamma^(Q·s + r) for one r < Q and s < M,
+    and the units follow zero row-major in (r, s): out[1 + M·r + s] is the
+    value at gamma^(Q·s + r).  The context caches rows[r, s] = exp[Q·s + r],
+    the exp table as Q rows of length M.  For a term c x^j let (s0, r0) =
+    divmod((j·r + log c) mod m, Q); since j·Q·s = Q·(j·s mod M) (mod m),
+    row r of the term is rows[r0][(j·s + s0) mod M].  When j = 1 (mod M),
+    as for both terms of b^(-1) x^d + x with d = M + 1, that is rows[r0]
+    rotated by s0: two slice operations and no index array.  Other j gather
+    inside the row.  In characteristic 2 the terms are xored into the output
+    rows; for odd p their base-p digit rows are summed and the encodings
+    formed once.
+    """
     if ctx.order > brute_bound:
         raise FieldTooLarge(f"|F| = {ctx.order} exceeds brute bound {brute_bound}")
     # odd p needs the digit matrix, whose cap is checked before any table is built
     dig = ctx.digit_matrix() if ctx.p != 2 else None
     ctx.ensure_tables(brute_bound)
-    exp, log = ctx._exp, ctx._log
     m = ctx.order - 1
+    Q = ctx.q - 1 if isinstance(ctx, Tower) and ctx.n > 1 else 1
+    M = m // Q
+    rows = ctx._rows
+    if rows is None:
+        rows = ctx._rows = np.ascontiguousarray(ctx._exp.reshape(M, Q).T)
+    log = ctx._log
     c0 = terms.get(0, 0)
 
-    def term(j: int, c: int) -> np.ndarray:
-        # c x^j at x = gamma^i, i = 0 .. m-1
-        if j == 1 and c == 1:
-            return exp
-        idx = np.arange(m, dtype=np.int64)
-        idx *= j % m
-        idx += int(log[c])
-        idx %= m
-        return exp[idx]
+    # per term: the in-row index j·s mod M (None for a rotation), s0 and r0 per row
+    r_all = np.arange(Q, dtype=np.int64)
+    plans = []
+    for j, c in terms.items():
+        if j >= 1 and c:
+            s0, r0 = np.divmod((j % m * r_all + int(log[c])) % m, Q)
+            idx = None if (j - 1) % M == 0 else np.arange(M, dtype=np.int64) * (j % M) % M
+            plans.append((idx, s0.tolist(), r0.tolist()))
 
-    live = [(j, c) for j, c in terms.items() if j >= 1 and c]
     out = np.empty(ctx.order, dtype=np.int64)
     out[0] = c0
-    if ctx.p == 2:
-        acc = out[1:]
+    if dig is None:
+        acc = out[1:].reshape(Q, M)
         acc[:] = c0
-        for j, c in live:
-            acc ^= term(j, c)
+
+        def add(dst, vals):
+            dst ^= vals
     else:
-        k = ctx.deg_over_prime
-        acc_d = np.zeros((m, k), dtype=np.int16)
-        for j, c in live:
-            acc_d += dig[term(j, c)]
-        if c0:
-            acc_d += dig[c0]
-        acc_d %= ctx.p
-        powers = (ctx.p ** np.arange(k)).astype(np.int64)
-        out[1:] = acc_d.astype(np.int64).dot(powers)
+        acc = np.empty((Q, M, ctx.deg_over_prime), dtype=np.int16)
+        acc[:] = dig[c0]
+
+        def add(dst, vals):
+            dst += dig[vals]
+
+    for r in range(Q):
+        row = acc[r]
+        for idx, s0s, r0s in plans:
+            src, s0 = rows[r0s[r]], s0s[r]
+            if idx is None:
+                add(row[:M - s0], src[s0:])
+                add(row[M - s0:], src[:s0])
+            else:
+                add(row, src.take(idx + s0, mode="wrap"))
+    if dig is not None:
+        acc %= ctx.p
+        powers = (ctx.p ** np.arange(ctx.deg_over_prime)).astype(np.int64)
+        out[1:] = acc.reshape(m, -1).astype(np.int64).dot(powers)
     return out
 
 
@@ -381,11 +412,16 @@ def witnesses_from_good(g: Poly, tower: Tower,
 
 
 def scalar_class_count(witnesses: list) -> int:
-    """Number of witness classes up to multiplication by base-field units."""
+    """Number of witness classes up to multiplication by base-field units.
+
+    GF(q) sits in the tower as the constants, so c·b for c in GF(q)* is
+    b with each coordinate multiplied by c in GF(q).
+    """
     classes = set()
     for w in witnesses:
-        t = w.tower
-        classes.add(min(t.mul(w.b, c) for c in t.base.units()))
+        base, coords = w.tower.base, w.tower.decode(w.b)
+        classes.add(min(w.tower.encode([base.mul(c, x) for x in coords])
+                        for c in base.units()))
     return len(classes)
 
 

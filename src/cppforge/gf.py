@@ -141,6 +141,7 @@ class Context:
     _exp: Optional[np.ndarray] = None
     _log: Optional[np.ndarray] = None
     _digmat: Optional[np.ndarray] = None
+    _rows: Optional[np.ndarray] = None     # exp by cosets, cpp_core._eval_all_sparse
     _primitive: Optional[int] = None
     # dense op rows, built by Fq.build_rows for small fields only
     _mul_rows: Optional[list] = None
@@ -322,7 +323,7 @@ class Context:
 
     def __getstate__(self):  # keep contexts picklable without numpy caches
         state = self.__dict__.copy()
-        for key in ("_exp", "_log", "_digmat"):
+        for key in ("_exp", "_log", "_digmat", "_rows"):
             state[key] = None
         return state
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cppforge import gf, poly
-from cppforge.families import construct_c
+from cppforge.families import FamilyItem, construct_c, enumerate_family
 from cppforge.gf import FieldTooLarge, elem, mk_field, mk_tower
 from cppforge.poly import ConstantPolynomial, Poly, factorize, orbit_split, roots_in
 from cppforge.cpp_core import (
@@ -17,6 +17,7 @@ from cppforge.cpp_core import (
     NotGood,
     OrbitSizeDoesNotDivideN,
     ZeroCoefficient,
+    _eval_all_sparse,
     _is_injective_values,
     cpp_exponent,
     cpp_normalize,
@@ -145,6 +146,57 @@ class TestCppMonomial:
         assert _is_injective_values(vals, 64)
         vals[40] = vals[3]
         assert not _is_injective_values(vals, 64)
+
+
+class TestRowLayout:
+    """_eval_all_sparse lays the units out by cosets of the index-Q subgroup."""
+
+    # towers of degree > 1 have Q = q - 1; fields and degree-1 towers have Q = 1
+    CONTEXTS = [((2, 2), 3), ((2, 3), 2), ((2, 5), 2), ((5, 1), 2), ((3, 2), 2),
+                ((3, 1), 4), ((2, 7), None), ((7, 2), None), ((2, 4), 1)]
+
+    @pytest.mark.parametrize("base, n", CONTEXTS)
+    def test_pointwise_against_slow_arithmetic(self, base, n):
+        ctx = mk_field(*base) if n is None else mk_tower(mk_field(*base), n)
+        m = ctx.order - 1
+        Q = ctx.q - 1 if n is not None and n > 1 else 1
+        M = m // Q
+        gamma = ctx.primitive_element()
+        pw = [1]
+        for _ in range(m - 1):
+            pw.append(ctx._mul_slow(pw[-1], gamma))
+        rng = random.Random(ctx.order)
+        for _ in range(3):
+            js = [0, 1, M + 1, m, 2 * m, m + rng.randrange(m), rng.randrange(2, 3 * m)]
+            terms = {j: rng.randrange(ctx.order) for j in js}
+            terms[0] = rng.randrange(1, ctx.order)
+
+            def value(i):
+                # sum c_j x^j at x = gamma^i; 0^0 = 1 for the constant term
+                acc = terms[0]
+                for j, c in terms.items():
+                    if j:
+                        acc = ctx.add(acc, ctx._mul_slow(c, pw[i * j % m]))
+                return acc
+
+            want = [terms[0]] + [value(Q * s + r) for r in range(Q) for s in range(M)]
+            got = _eval_all_sparse(ctx, terms, gf.DEFAULT_BRUTE_BOUND)
+            assert got.tolist() == want
+
+    # CPM count over all units b, from the parent of the coset-row evaluation
+    @pytest.mark.parametrize("base, n, count", [
+        ((5, 1), 2, 8), ((7, 1), 2, 0), ((3, 1), 4, 38), ((5, 1), 4, 60),
+        ((3, 1), 6, 362), ((2, 2), 3, 15), ((2, 3), 2, 14), ((2, 2), 4, 48),
+        ((2, 5), 2, 62), ((2, 3), 4, 238), ((3, 2), 2, 8)])
+    def test_cpm_counts_over_all_units(self, base, n, count):
+        t = mk_tower(mk_field(*base), n)
+        assert sum(is_cpp_monomial(b, t) for b in t.units()) == count
+
+    def test_rows_not_pickled(self):
+        ctx = mk_field(2, 6)
+        assert is_permutation(Poly.x(ctx) ** 5, ctx)
+        assert ctx._rows is not None
+        assert ctx.__getstate__()["_rows"] is None
 
 
 class TestGoodness:
@@ -379,6 +431,23 @@ class TestWitnesses:
             back = witness_from_json(w.to_json())
             assert back.tower is w.tower and back.b == w.b and back.d == w.d
             assert back.family == "A1" and back.params == {"e": 1}
+
+
+class TestScalarClassCount:
+    @pytest.mark.parametrize("tag, base, n, ranges", [
+        ("A2", (2, 5), 4, {"a": [3]}), ("B", (5, 1), 4, {})])
+    def test_matches_tower_multiplication(self, tag, base, n, ranges):
+        base = mk_field(*base)
+        t = mk_tower(base, n)
+        ws = []
+        for item in enumerate_family(tag, base, n, ranges):
+            if isinstance(item, FamilyItem) and item.g.degree == n + 1:
+                rep = goodness(item.g)
+                if rep.is_good:
+                    ws += witnesses_from_good(item.g, t, brute_bound=1, report=rep)
+        assert ws
+        want = len({min(t.mul(w.b, c) for c in base.units()) for w in ws})
+        assert scalar_class_count(ws) == want
 
 
 class TestCppNormalize:
