@@ -183,7 +183,7 @@ class TestRowLayout:
             got = _eval_all_sparse(ctx, terms, gf.DEFAULT_BRUTE_BOUND)
             assert got.tolist() == want
 
-    # CPM count over all units b, from the parent of the coset-row evaluation
+    # number of units b for which b^(-1) x^d is a complete permutation monomial
     @pytest.mark.parametrize("base, n, count", [
         ((5, 1), 2, 8), ((7, 1), 2, 0), ((3, 1), 4, 38), ((5, 1), 4, 60),
         ((3, 1), 6, 362), ((2, 2), 3, 15), ((2, 3), 2, 14), ((2, 2), 4, 48),
