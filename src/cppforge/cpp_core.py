@@ -16,7 +16,9 @@ single Frobenius orbit; such g are called good.  This module provides:
   exp table, and the values come zero first, then row by row;
 * the Frobenius orbit structure of the roots of a polynomial, from the same
   split, with least-element orbit representatives on request;
-* extraction and verification of witness elements b from a good g;
+* the witness elements b of a good g: one root of the radical of v_g located
+  in the tower, the rest its Frobenius orbit, and one brute force per orbit,
+  since being a CPM is invariant under x -> x^q;
 * the scaling normalisation h(x) = c g(c' x) + e and a heuristic
   multi-extension permutation probe.
 """
@@ -43,6 +45,7 @@ from .gf import (
 from .poly import (
     ConstantPolynomial,
     Poly,
+    one_root,
     orbit_parts,
     orbit_split,
     roots_in,
@@ -67,6 +70,10 @@ class OrbitSizeDoesNotDivideN(FieldError):
 
 
 class DegreeNotNPlusOne(FieldError):
+    pass
+
+
+class OrbitSizeMismatch(FieldError):
     pass
 
 
@@ -375,13 +382,22 @@ def witnesses_from_good(g: Poly, tower: Tower,
     GF(q^n).  The radical of v_g, irreducible for a good g, has some degree
     s; the roots live in GF(q^s), which lies inside GF(q^n) when s
     divides n.  For a good g of degree n + 1, s divides n automatically, since
-    v_g = c f^(n/s).  Witnesses are brute-force checked whenever the tower is
-    within the brute-force bound, and marked criterion-only otherwise, also
-    when the brute force raises FieldTooLarge for a table it cannot build.
+    v_g = c f^(n/s).
+
+    The roots of the irreducible radical are one Frobenius orbit, so one root
+    rho is located (`one_root`) and the witnesses are its orbit under
+    x -> x^q, sorted by encoding.  Being a CPM is invariant under that map:
+    for sigma(x) = x^q, sigma∘(b^(-1) x^d + x)∘sigma^(-1) = sigma(b)^(-1) x^d
+    + x, and a conjugate of a permutation by a field automorphism is one.
+    So only rho is brute-forced, whenever the tower is within the brute-force
+    bound, and its verdict labels every conjugate.  Otherwise, also when the
+    brute force raises FieldTooLarge for a table it cannot build, the
+    witnesses are marked criterion-only.
 
     Raises, checked in this order: NotGood when g is not good,
-    OrbitSizeDoesNotDivideN when s does not divide n, and DegreeNotNPlusOne
-    when deg g != n + 1.
+    OrbitSizeDoesNotDivideN when s does not divide n, DegreeNotNPlusOne
+    when deg g != n + 1, and OrbitSizeMismatch when the orbit of rho does
+    not have s elements.
     """
     if tower.base is not g.ctx:
         raise ContextMismatch("tower base differs from the coefficient field")
@@ -395,20 +411,20 @@ def witnesses_from_good(g: Poly, tower: Tower,
         raise DegreeNotNPlusOne(
             f"degree {g.degree} is not n + 1 = {tower.n + 1}")
     d = cpp_exponent(tower)
-    roots = roots_in(rep.radical, tower)
-    assert len(roots) == s
+    rho = one_root(rep.radical, tower).val
+    orbit = tower.orbit(rho)
+    if len(orbit) != s:
+        raise OrbitSizeMismatch(f"root orbit has {len(orbit)} elements, not {s}")
+    verified, ok = VERIFIED_CRITERION, None
+    if tower.order <= brute_bound:
+        try:
+            ok = is_cpp_monomial(rho, tower, brute_bound)
+            verified = VERIFIED_BRUTE
+        except FieldTooLarge:
+            pass    # an evaluation table the brute force needs is over its cap
     params = dict(params or {})
-    out = []
-    for b, _ in roots:
-        verified, ok = VERIFIED_CRITERION, None
-        if tower.order <= brute_bound:
-            try:
-                ok = is_cpp_monomial(b, tower, brute_bound)
-                verified = VERIFIED_BRUTE
-            except FieldTooLarge:
-                pass    # an evaluation table the brute force needs is over its cap
-        out.append(CppWitness(tower, d, b.val, family, params, verified, ok))
-    return out
+    return [CppWitness(tower, d, b, family, params, verified, ok)
+            for b in sorted(orbit)]
 
 
 def scalar_class_count(witnesses: list) -> int:

@@ -589,11 +589,7 @@ class Tower(Context):
         return digits[0]
 
     def __reduce__(self):
-        return (_rebuild_tower, (self.base.p, self.base.m, self.n))
-
-
-def _rebuild_tower(p: int, m: int, n: int) -> "Tower":
-    return mk_tower(mk_field(p, m), n)
+        return (mk_tower_pmn, (self.base.p, self.base.m, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +641,7 @@ def mk_tower(base: Fq, n: int) -> Tower:
 
 
 def mk_tower_pmn(p: int, m: int, n: int) -> Tower:
+    """The interned GF((p^m)^n); also how a pickled tower is rebuilt."""
     return mk_tower(mk_field(p, m), n)
 
 

@@ -7,11 +7,13 @@ module provides exact ring arithmetic, gcd, factorization into irreducibles
 context-derived deterministic seed), the Frobenius orbit sizes of the roots
 from the distinct-degree split alone (`orbit_parts` yields it part by part,
 so a caller can stop at the first), a Rabin-style irreducibility test that
-is independent of the factorizer, root extraction in extensions, Dickson
-polynomials, linearized associates, and characteristic polynomials of tower
-elements.  `least_monic` walks monic candidates in encoding order; with
-`is_irreducible` as its test it finds the field and tower moduli of `gf`,
-which imports both inside its constructors.
+is independent of the factorizer, root extraction in extensions (all roots,
+or one root of a polynomial known to split, by descending into the smaller
+factor of each equal-degree split), Dickson polynomials, linearized
+associates, and characteristic polynomials of tower elements.  `least_monic`
+walks monic candidates in encoding order; with `is_irreducible` as its test
+it finds the field and tower moduli of `gf`, which imports both inside its
+constructors.
 
 Polynomials below `_ENGINE_MIN` terms, and all polynomials over towers, stay
 on the list path.  Its products and remainders step with one kernel,
@@ -805,11 +807,15 @@ def _distinct_degree_split(ctx: Context, f: list) -> list:
     return [(d, list(g.coeffs)) for d, g in orbit_parts(Poly(ctx, f, trusted=True))]
 
 
-def _equal_degree_split(ctx: Context, f: list, d: int, rng_state: list) -> list:
-    """Split a monic product of distinct degree-d irreducibles into factors."""
+def _split_once(ctx: Context, f: list, d: int, rng_state: list) -> list:
+    """A proper monic factor of a monic product of distinct degree-d irreducibles.
+
+    f must have at least two irreducible factors.  Each draw takes a
+    pseudo-random theta mod f from rng_state and splits f by the gcd with the
+    trace of theta onto GF(2) (p = 2) or with theta^((q^d - 1)/2) - 1 (odd
+    p); draws repeat until the gcd is proper (Cantor–Zassenhaus).
+    """
     deg = len(f) - 1
-    if deg == d:
-        return [f]
     q = ctx.order
     while True:
         rng_state[0] = _seed_fold(rng_state[0], deg, d)
@@ -834,9 +840,17 @@ def _equal_degree_split(ctx: Context, f: list, d: int, rng_state: list) -> list:
             t = _ppow_mod(ctx, theta, (q ** d - 1) // 2, f)
             g = _pgcd(ctx, f, _psub(ctx, t, [1]))
         if 1 < len(g) < len(f):
-            rest = _pdivmod(ctx, f, g)[0]
-            return (_equal_degree_split(ctx, g, d, rng_state)
-                    + _equal_degree_split(ctx, rest, d, rng_state))
+            return g
+
+
+def _equal_degree_split(ctx: Context, f: list, d: int, rng_state: list) -> list:
+    """Split a monic product of distinct degree-d irreducibles into factors."""
+    if len(f) - 1 == d:
+        return [f]
+    g = _split_once(ctx, f, d, rng_state)
+    rest = _pdivmod(ctx, f, g)[0]
+    return (_equal_degree_split(ctx, g, d, rng_state)
+            + _equal_degree_split(ctx, rest, d, rng_state))
 
 
 def factorize(f: Poly) -> Factorization:
@@ -974,6 +988,26 @@ def roots_in(f: Poly, ctx2: Optional[Context] = None) -> list:
             cur = q
         out.append((FqElem(ctx2, r), mult))
     return out
+
+
+def one_root(f: Poly, ctx2: Context) -> FqElem:
+    """One root in ctx2 of an f that splits there into distinct linear factors.
+
+    Each step splits the remaining factor once (`_split_once`, d = 1) and
+    keeps the smaller piece, until it is linear.  Unlike `roots_in` there is
+    no gcd with x^|ctx2| - x: the caller vouches that f splits, for instance
+    an irreducible f over GF(q) of degree dividing n in the tower GF(q^n);
+    for any other f the descent need not end.  The seed is that of
+    `roots_in`, so repeated calls give the same root.
+    """
+    if f.degree < 1:
+        raise ConstantPolynomial("need degree >= 1")
+    w = _pmonic(ctx2, list(f.lift(ctx2).coeffs))
+    rng_state = [_ctx_seed(ctx2, w)]
+    while len(w) > 2:
+        g = _split_once(ctx2, w, 1, rng_state)
+        w = g if 2 * len(g) <= len(w) + 1 else _pdivmod(ctx2, w, g)[0]
+    return FqElem(ctx2, ctx2.neg(w[0]))
 
 
 def has_root_in_units(f: Poly) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cppforge import gf, poly
+from cppforge import cpp_core, gf, poly
 from cppforge.families import FamilyItem, construct_c, enumerate_family
 from cppforge.gf import FieldTooLarge, elem, mk_field, mk_tower
 from cppforge.poly import ConstantPolynomial, Poly, factorize, orbit_split, roots_in
@@ -16,6 +16,7 @@ from cppforge.cpp_core import (
     DegreeNotNPlusOne,
     NotGood,
     OrbitSizeDoesNotDivideN,
+    OrbitSizeMismatch,
     ZeroCoefficient,
     _eval_all_sparse,
     _is_injective_values,
@@ -424,6 +425,13 @@ class TestWitnesses:
         with pytest.raises(DegreeNotNPlusOne):
             witnesses_from_good(g, mk_tower(F5, 4))
 
+    def test_orbit_size_mismatch_raises(self, monkeypatch):
+        # a root in the wrong orbit must not pass silently; 1 lies in GF(5)
+        monkeypatch.setattr(cpp_core, "one_root", lambda f, t: elem(t, 1))
+        g = (Poly.x(F5).shift(1)) ** 3 - Poly.constant(F5, 1)
+        with pytest.raises(OrbitSizeMismatch):
+            witnesses_from_good(g, T25)
+
     def test_json_roundtrip(self):
         g = (Poly.x(F5).shift(1)) ** 3 - Poly.constant(F5, 1)
         ws = witnesses_from_good(g, T25, family="A1", params={"e": 1})
@@ -431,6 +439,39 @@ class TestWitnesses:
             back = witness_from_json(w.to_json())
             assert back.tower is w.tower and back.b == w.b and back.d == w.d
             assert back.family == "A1" and back.params == {"e": 1}
+
+
+class TestFrobeniusInvariance:
+    """witnesses_from_good brute-forces one root per orbit; keep the reason checked."""
+
+    @pytest.mark.parametrize("base, n", [((5, 1), 2), ((3, 1), 4), ((2, 2), 3),
+                                         ((2, 3), 2), ((2, 5), 2)])
+    def test_verdict_is_frobenius_invariant(self, base, n):
+        t = mk_tower(mk_field(*base), n)
+        verdict = {b: is_cpp_monomial(b, t) for b in t.units()}
+        assert any(verdict.values())
+        assert all(verdict[t.frobenius(b)] == v for b, v in verdict.items())
+
+    # family C is expected never to give a good g, so it yields no witnesses
+    @pytest.mark.parametrize("tag, base, n", [
+        ("A1", (2, 1), 4), ("A1", (2, 3), 4), ("A1", (3, 1), 4), ("A1", (5, 1), 2),
+        ("A2", (2, 3), 4), ("D_lin2", (2, 2), None), ("D_lin2", (2, 4), None),
+        ("D_lin2", (3, 2), None), ("D_lin2", (5, 2), None)])
+    def test_every_witness_brute_forced_alone(self, tag, base, n):
+        base = mk_field(*base)
+        checked = 0
+        for item in enumerate_family(tag, base, n):
+            if not isinstance(item, FamilyItem):
+                continue
+            tn = item.g.degree - 1
+            if base.order ** tn > 1 << 19 or not goodness(item.g).is_good:
+                continue
+            t = mk_tower(base, tn)
+            for w in witnesses_from_good(item.g, t):
+                assert w.verified == "BruteForce"
+                assert is_cpp_monomial(w.b, t) == w.passed
+                checked += 1
+        assert checked
 
 
 class TestScalarClassCount:

@@ -1,6 +1,7 @@
 """Field contexts, arithmetic, and the named maps."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -483,3 +484,10 @@ class TestSerialization:
         x = elem(F25, 7)  # 2 + 1*y
         assert x.to_json() == [[2], [1]]
         assert elem(F9, 5).to_json() == [2, 1]
+
+    def test_pickle_returns_interned_contexts(self):
+        # workers receive towers by pickle; they must come back as the cached ones
+        t = mk_tower(F4, 3)
+        assert t.__reduce__()[0] is gf.mk_tower_pmn
+        for ctx in (F9, F25, t):
+            assert pickle.loads(pickle.dumps(ctx)) is ctx

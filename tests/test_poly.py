@@ -16,7 +16,9 @@ from cppforge.poly import (
     factorize,
     gcd,
     is_irreducible,
+    least_monic,
     linearized_associate,
+    one_root,
     pow_mod,
     roots_in,
     squarefree_part,
@@ -204,6 +206,55 @@ class TestRoots:
                         mult += 1
                     want.add((x, mult))
             assert got == want
+
+
+class TestOneRoot:
+    @staticmethod
+    def irreducibles(base, s, rng, count=3):
+        """The least and a few random monic irreducibles of degree s over base."""
+        polys = (Poly(base, [rng.randrange(base.order) for _ in range(s)] + [1])
+                 for _ in range(60))
+        return [least_monic(base, s, is_irreducible)] + [
+            f for f in polys if is_irreducible(f)][:count]
+
+    @pytest.mark.parametrize("base, top", [((2, 1), 6), ((2, 2), 4), ((2, 5), 2),
+                                           ((3, 1), 4), ((5, 1), 3), ((3, 2), 2)])
+    def test_orbit_of_one_root_is_all_roots(self, base, top):
+        # an irreducible f of degree s | n splits in GF(q^n) into one orbit;
+        # every degree 1..top is reached with the tower of degree n = s
+        base = mk_field(*base)
+        rng = random.Random(top)
+        for n in range(1, top + 1):
+            t = mk_tower(base, n)
+            for s in (s for s in range(1, n + 1) if n % s == 0):
+                for f in self.irreducibles(base, s, rng):
+                    rho = one_root(f, t)
+                    assert rho.ctx is t
+                    assert f.lift(t).eval_at(rho.val) == 0
+                    assert t.orbit(rho.val) == {r.val for r, _ in roots_in(f, t)}
+                    assert one_root(f, t).val == rho.val
+
+    def test_smaller_orbit_inside_bigger_tower(self):
+        # g = x (x^2 + 2)^2 over GF(5): the radical of v_g is x^2 + 2, whose
+        # roots lie in GF(25) inside GF(5^4)
+        t4 = mk_tower(F5, 4)
+        f = Poly(F5, [2, 0, 1])
+        rho = one_root(f, t4)
+        assert t4.orbit(rho.val) == {r.val for r, _ in roots_in(f, t4)} == {25, 100}
+
+    def test_product_of_tower_linears(self):
+        rng = random.Random(8)
+        for t in (mk_tower(F4, 3), mk_tower(F3, 3)):
+            for k in range(1, 7):
+                rs = rng.sample(range(t.order), k)
+                f = Poly.constant(t, 1)
+                for r in rs:
+                    f = f * Poly(t, [t.neg(r), 1])
+                assert one_root(f, t).val in rs
+
+    def test_constant_rejected(self):
+        with pytest.raises(ConstantPolynomial):
+            one_root(Poly.constant(F5, 3), mk_tower(F5, 2))
 
 
 class TestDickson:
