@@ -386,13 +386,16 @@ def witnesses_from_good(g: Poly, tower: Tower,
 
     The roots of the irreducible radical are one Frobenius orbit, so one root
     rho is located (`one_root`) and the witnesses are its orbit under
-    x -> x^q, sorted by encoding.  Being a CPM is invariant under that map:
-    for sigma(x) = x^q, sigma∘(b^(-1) x^d + x)∘sigma^(-1) = sigma(b)^(-1) x^d
-    + x, and a conjugate of a permutation by a field automorphism is one.
-    So only rho is brute-forced, whenever the tower is within the brute-force
-    bound, and its verdict labels every conjugate.  Otherwise, also when the
-    brute force raises FieldTooLarge for a table it cannot build, the
-    witnesses are marked criterion-only.
+    sigma(x) = x^q, sorted by encoding.  Being a CPM is invariant under
+    sigma, a field automorphism that commutes with x -> x^d:
+
+        sigma∘(b^(-1) x^d + x)∘sigma^(-1) = sigma(b)^(-1) x^d + x,
+
+    and a permutation conjugated by a field automorphism is a permutation
+    (likewise for b^(-1) x^d).  So only rho is brute-forced, whenever the
+    tower is within the brute-force bound, and its verdict labels every
+    conjugate.  Otherwise, also when the brute force raises FieldTooLarge for
+    a table it cannot build, the witnesses are marked criterion-only.
 
     Raises, checked in this order: NotGood when g is not good,
     OrbitSizeDoesNotDivideN when s does not divide n, DegreeNotNPlusOne
