@@ -46,7 +46,6 @@ from .cpp_core import (
     GoodnessReport,
     cpp_exponent,
     cpp_normalize,
-    exceptional_necessary,
     goodness,
     is_cpp_monomial,
     is_cpp_poly,

@@ -9,6 +9,12 @@ Subcommands:
 * scan         enumerate a family, cross-check predictions, verify witnesses
 * verify       re-verify a witness file produced by scan
 
+classify is scan under another name: both go through run_scan, and their
+reports differ only in config.command and timingSec.  Every such report
+lists the params of the good items (predicted good and confirmed by the
+goodness oracle) in goodShapes, in enumeration order.  Each subcommand
+accepts only the options it reads.
+
 A scan builds every family item once, in the parent process, and checks
 each through one function, _scan_item, whatever the worker count.  With
 --workers k > 1 only the checking and brute force are split: each of the k
@@ -61,8 +67,6 @@ class ScanConfig:
     ranges: dict = dfield(default_factory=dict)
     brute_bound: int = DEFAULT_BRUTE_BOUND
     workers: int = 1
-    out: Optional[str] = None
-    fmt: str = "json"
 
     def validate(self) -> None:
         if self.brute_bound > HARD_BRUTE_CAP:
@@ -81,6 +85,7 @@ class ScanReport:
     witnesses: list
     mismatches: list
     skips: list
+    good_shapes: list
     scalar_classes: int
     timing_sec: float
 
@@ -92,6 +97,7 @@ class ScanReport:
             "scalarClasses": self.scalar_classes,
             "mismatches": self.mismatches,
             "skips": self.skips,
+            "goodShapes": self.good_shapes,
             "timingSec": self.timing_sec,
         }
 
@@ -110,7 +116,7 @@ def _scan_item(item, tower, brute_bound: int) -> dict:
     if isinstance(item, FamilySkip):
         return {"skip": {"params": item.params.params, "reason": item.reason}}
     out = {"witnesses": [], "mismatches": [], "predicted": item.predicted_good,
-           "verified_cpp": 0}
+           "good": False, "verified_cpp": 0}
     rep = goodness(item.g)
     if rep.is_good != item.predicted_good:
         out["mismatches"].append({
@@ -121,6 +127,7 @@ def _scan_item(item, tower, brute_bound: int) -> dict:
             "reason": rep.reason,
         })
         return out
+    out["good"] = rep.is_good
     # deg g = n + 1 is the correspondence's precondition; for a good g it
     # also makes the orbit size divide n, since v_g = c f^(n/s)
     if not rep.is_good or tower is None or item.g.degree != tower.n + 1:
@@ -167,6 +174,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     witnesses: list = []
     mismatches: list = []
     skips: list = []
+    good_shapes: list = []
     args = (_scan_item, items, repeat(tower), repeat(config.brute_bound))
     if config.workers == 1:
         results = list(map(*args))
@@ -174,12 +182,14 @@ def run_scan(config: ScanConfig) -> ScanReport:
         chunk = max(1, math.ceil(len(items) / config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(*args, chunksize=chunk))
-    for res in results:
+    for item, res in zip(items, results):
         if "skip" in res:
             counts["skipped"] += 1
             skips.append(res["skip"])
             continue
         counts["constructed"] += 1
+        if res["good"]:
+            good_shapes.append(item.params.params)
         if res["predicted"]:
             counts["predictedGood"] += 1
         else:
@@ -192,13 +202,14 @@ def run_scan(config: ScanConfig) -> ScanReport:
     counts["distinctCpp"] = len({w.b for w in witnesses
                                  if w.verified == VERIFIED_BRUTE and w.passed})
     report = ScanReport(
-        config={"command": "scan", "p": config.p, "m": config.m, "n": n,
+        config={"command": config.command, "p": config.p, "m": config.m, "n": n,
                 "family": config.family, "bruteBound": config.brute_bound,
                 "workers": config.workers},
         counts=counts,
         witnesses=witnesses,
         mismatches=mismatches,
         skips=skips,
+        good_shapes=good_shapes,
         scalar_classes=scalar_class_count(witnesses) if witnesses else 0,
         timing_sec=round(time.time() - t0, 3),
     )
@@ -265,6 +276,7 @@ def verify_witness_file(path: str,
         witnesses=witnesses,
         mismatches=mismatches,
         skips=[],
+        good_shapes=[],
         scalar_classes=scalar_class_count(witnesses) if witnesses else 0,
         timing_sec=round(time.time() - t0, 3),
     )
@@ -335,43 +347,6 @@ def _write_report(report: ScanReport, out: Optional[str], fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# classification command
-
-
-def run_classify(config: ScanConfig) -> ScanReport:
-    """Exhaustive shape classification with goodness cross-check."""
-    t0 = time.time()
-    base = mk_field(config.p, config.m)
-    counts = {"constructed": 0, "predictedGood": 0, "verifiedCpp": 0,
-              "refuted": 0, "skipped": 0}
-    mismatches = []
-    good_params = []
-    for item in enumerate_family(config.family, base, None, config.ranges):
-        counts["constructed"] += 1
-        if item.predicted_good:
-            counts["predictedGood"] += 1
-            rep = goodness(item.g)
-            if not rep.is_good:
-                mismatches.append({"kind": "PredictionMismatch",
-                                   "params": item.params.params})
-            else:
-                good_params.append(item.params.params)
-        else:
-            counts["refuted"] += 1
-    report = ScanReport(
-        config={"command": "classify", "p": config.p, "m": config.m,
-                "family": config.family},
-        counts=counts,
-        witnesses=[],
-        mismatches=mismatches,
-        skips=[{"goodShapes": good_params}],
-        scalar_classes=0,
-        timing_sec=round(time.time() - t0, 3),
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 
 
@@ -380,80 +355,74 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="complete permutation monomial scanner")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def field_opts(sp):
         sp.add_argument("--p", type=int, default=2)
         sp.add_argument("--m", type=int, default=1)
         sp.add_argument("--n", type=int, default=None)
+        return sp
+
+    def family_opts(sp):
         sp.add_argument("--family", type=str, default="")
         sp.add_argument("--range", type=str, default="{}",
                         help="JSON dict of parameter ranges, e.g. '{\"e\": [1, 2]}'")
+        return sp
+
+    def report_opts(sp):
         sp.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
-        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", type=str, choices=("json", "csv"),
                         default="json")
+        return sp
 
-    for name in ("field-info", "construct", "classify", "scan"):
-        common(sub.add_parser(name))
+    field_opts(sub.add_parser("field-info"))
+    family_opts(field_opts(sub.add_parser("construct")))
+    for name in ("classify", "scan"):
+        sp = report_opts(family_opts(field_opts(sub.add_parser(name))))
+        sp.add_argument("--workers", type=int, default=1)
     vp = sub.add_parser("verify")
     vp.add_argument("path")
-    vp.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
-    vp.add_argument("--out", type=str, default=None)
-    vp.add_argument("--format", type=str, choices=("json", "csv"), default="json")
+    report_opts(vp)
     return ap
 
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            report = verify_witness_file(args.path, args.brute_bound)
-            _write_report(report, args.out, args.format)
-            return report.exit_code
-        config = ScanConfig(
-            command=args.command, p=args.p, m=args.m, n=args.n,
-            family=args.family, ranges=json.loads(args.range),
-            brute_bound=args.brute_bound, workers=args.workers,
-            out=args.out, fmt=args.format,
-        )
+        return _run(args)
+    except (OSError, ValueError, FieldError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    if args.command == "verify":
+        report = verify_witness_file(args.path, args.brute_bound)
+        _write_report(report, args.out, args.format)
+        return report.exit_code
+    if args.command == "field-info":
+        base = mk_field(args.p, args.m)
+        desc = mk_tower(base, args.n).describe() if args.n else base.describe()
+        print(json.dumps(desc, indent=2, sort_keys=True))
+        return 0
+    config = ScanConfig(args.command, args.p, args.m, args.n, args.family,
+                        json.loads(args.range))
+    if args.command == "construct":
         config.validate()
-    except (OSError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "field-info":
-            base = mk_field(config.p, config.m)
-            desc = base.describe()
-            if config.n:
-                desc = mk_tower(base, config.n).describe()
-            print(json.dumps(desc, indent=2, sort_keys=True))
-            return 0
-        if args.command == "construct":
-            base = mk_field(config.p, config.m)
-            items = list(enumerate_family(config.family, base, config.n,
-                                          config.ranges))
-            out = []
-            for item in items:
-                if isinstance(item, FamilySkip):
-                    out.append({"skip": item.reason, "params": item.params.params})
-                else:
-                    out.append({"params": item.params.params,
-                                "g": item.g.to_json(),
-                                "predictedGood": item.predicted_good})
-            print(json.dumps(out, indent=2, sort_keys=True))
-            return 0
-        if args.command == "classify":
-            report = run_classify(config)
-            _write_report(report, config.out, config.fmt)
-            return report.exit_code
-        if args.command == "scan":
-            report = run_scan(config)
-            _write_report(report, config.out, config.fmt)
-            return report.exit_code
-    except (FieldError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    return 2
+        out = []
+        for item in enumerate_family(config.family, mk_field(config.p, config.m),
+                                     config.n, config.ranges):
+            if isinstance(item, FamilySkip):
+                out.append({"skip": item.reason, "params": item.params.params})
+            else:
+                out.append({"params": item.params.params,
+                            "g": item.g.to_json(),
+                            "predictedGood": item.predicted_good})
+        print(json.dumps(out, indent=2, sort_keys=True))
+        return 0
+    config.brute_bound, config.workers = args.brute_bound, args.workers
+    report = run_scan(config)
+    _write_report(report, args.out, args.format)
+    return report.exit_code
 
 
 if __name__ == "__main__":

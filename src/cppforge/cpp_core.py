@@ -14,13 +14,12 @@ single Frobenius orbit; such g are called good.  This module provides:
   field: the units are laid out in rows by the cosets of the units of the
   base field, so each term of b^(-1) x^d + x is a rotation of one row of the
   exp table, and the values come zero first, then row by row;
-* the Frobenius orbit structure of the roots of a polynomial, from the same
-  split, with least-element orbit representatives on request;
+* the Frobenius orbit sizes of the roots of a polynomial, from the same
+  split;
 * the witness elements b of a good g: one root of the radical of v_g located
   in the tower, the rest its Frobenius orbit, and one brute force per orbit,
   since being a CPM is invariant under x -> x^q;
-* the scaling normalisation h(x) = c g(c' x) + e and a heuristic
-  multi-extension permutation probe.
+* the scaling normalisation h(x) = c g(c' x) + e.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .poly import (
     one_root,
     orbit_parts,
     orbit_split,
-    roots_in,
     squarefree_part,
 )
 
@@ -256,7 +254,7 @@ class GoodnessReport:
         Computed on each request from the full distinct-degree split, as
         `orbit_structure` gives it; the verdict never needs them.
         """
-        return tuple(d for d, _ in orbit_structure(self.vg))
+        return tuple(orbit_structure(self.vg))
 
 
 def goodness(g: Poly) -> GoodnessReport:
@@ -291,29 +289,13 @@ def goodness(g: Poly) -> GoodnessReport:
 # orbit structure
 
 
-def orbit_structure(f: Poly, with_reps: bool = False) -> list:
-    """Frobenius orbit sizes of the distinct roots of f, with representatives.
+def orbit_structure(f: Poly) -> list:
+    """Frobenius orbit sizes of the distinct roots of f, increasing.
 
     The sizes come from the distinct-degree split of the radical of f: a part
-    of degree-d irreducibles holds deg(part)/d orbits of size d.  With
-    with_reps=True the roots of each part are found in GF(q^d) and the least
-    root of each orbit is its representative.
-
-    Returns a sorted list of (orbit_size, representative FqElem or None).
+    of degree-d irreducibles holds deg(part)/d orbits of size d.
     """
-    ctx = f.ctx
-    out = []
-    for d, part in orbit_split(f)[1]:
-        if not with_reps:
-            out += [(d, None)] * (part.degree // d)
-            continue
-        top = ctx if d == 1 else mk_tower(ctx, d)
-        left = {r.val for r, _ in roots_in(part, top)}
-        while left:
-            rho = min(left)
-            left -= top.orbit(rho) if d > 1 else {rho}
-            out.append((d, FqElem(top, rho)))
-    return out
+    return [d for d, part in orbit_split(f)[1] for _ in range(part.degree // d)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +316,6 @@ class CppWitness:
     verified: str = VERIFIED_CRITERION
     passed: Optional[bool] = None
 
-    def b_elem(self) -> FqElem:
-        return FqElem(self.tower, self.b)
-
     def to_json(self) -> dict:
         t = self.tower
         return {
@@ -352,9 +331,6 @@ class CppWitness:
             "verified": self.verified,
             "passed": self.passed,
         }
-
-    def b_encoding(self) -> int:
-        return self.b
 
 
 def witness_from_json(obj: dict) -> CppWitness:
@@ -445,7 +421,7 @@ def scalar_class_count(witnesses: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scaling equivalence and the heuristic exceptionality probe
+# scaling equivalence
 
 
 def cpp_normalize(g: Poly, c, cp, monic: bool = False) -> Poly:
@@ -460,37 +436,3 @@ def cpp_normalize(g: Poly, c, cp, monic: bool = False) -> Poly:
     h = g.scale_arg(cpv).scale(cv)
     h = h - Poly.constant(g.ctx, h.coeff(0))
     return h.monic() if monic else h
-
-
-@dataclass(frozen=True)
-class ExceptionalityProbe:
-    ok: bool
-    failed_k: Optional[int]
-    tested: tuple
-    skipped: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def exceptional_necessary(f: Poly, K: int,
-                          brute_bound: int = DEFAULT_BRUTE_BOUND) -> ExceptionalityProbe:
-    """Heuristic necessary condition: f permutes GF(q^k) for the tested k <= K.
-
-    A False verdict exhibits a failing extension; extensions beyond the brute
-    bound are skipped and recorded.  The result is heuristic either way.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    base = f.ctx
-    tested, skipped = [], []
-    for k in range(1, K + 1):
-        order = base.order ** k
-        if order > brute_bound:
-            skipped.append(k)
-            continue
-        ctx2 = base if k == 1 else mk_tower(base, k)
-        tested.append(k)
-        if not is_permutation(f, ctx2, brute_bound):
-            return ExceptionalityProbe(False, k, tuple(tested), tuple(skipped))
-    return ExceptionalityProbe(True, None, tuple(tested), tuple(skipped))

@@ -30,12 +30,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .gf import (
-    Context,
     FieldError,
     Fq,
     FqElem,
     Tower,
-    abs_trace2,
     as_int,
     factor_int,
     is_prime,
@@ -141,9 +139,6 @@ class FamilyParams:
     n: int
     params: dict = field(default_factory=dict)
 
-    def key(self) -> tuple:
-        return (self.tag, self.n) + tuple(sorted(self.params.items()))
-
 
 @dataclass(frozen=True)
 class FamilyItem:
@@ -151,7 +146,6 @@ class FamilyItem:
     g: Poly
     predicted_good: bool
     predicted_roots: Optional[tuple] = None   # FqElem tuple, when predicted good
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,6 @@ def construct_a2(base: Fq, n: int, a, e) -> FamilyItem:
     k = ord_mod(q, n + 1)
     params = FamilyParams("A2", n, {"a": a, "e": e})
     disc = base.sub(base.mul(e, e), base.mul(4 % p, a))  # e^2 - 4a
-    note = ""
     if p != 2:
         if (n // 2) % 2 == 0:
             predicted = k == n
@@ -258,7 +251,6 @@ def construct_a2(base: Fq, n: int, a, e) -> FamilyItem:
         elif e == 0:
             # the trace criterion divides by e; decide by a direct orbit walk
             predicted = _a2_char2_e0_single_orbit(base, n, a)
-            note = "e0-direct-orbit"
         else:
             traces = _a2_char2_traces(base, n, a, e)
             predicted = traces[0] == 1
@@ -266,7 +258,7 @@ def construct_a2(base: Fq, n: int, a, e) -> FamilyItem:
     roots = None
     if predicted:
         roots = tuple(_a2_predicted_roots(base, n, a, e, disc))
-    return FamilyItem(params, g, predicted, roots, note)
+    return FamilyItem(params, g, predicted, roots)
 
 
 def _a2_split(base: Fq, n: int):
@@ -597,8 +589,9 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
         if not has_root_in_units(cond):
             matches.append("ii")
     if a1 == a2 == 0 and a4 != 0 and (a6, a7, a8) == _deg9_forced_iii(base, a3, a4, a5):
+        # ell1(0) = 2·A4 != 0, so every root of ell1 in GF(q) is a unit
         ell1 = Poly(base, [base.mul(2, a4), base.mul(2, a3), 0, 0, 1])
-        if not roots_in(ell1):
+        if not has_root_in_units(ell1):
             matches.append("iii")
     if a1 == 0 and a4 == 0 and a2 != 0 and (a6, a7, a8) == _deg9_forced_iv(base, a2, a3, a5):
         if legendre(base, base.mul(2, a2)) == -1:
@@ -626,8 +619,14 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
 
 def enumerate_family(tag: str, base: Fq, n: Optional[int] = None,
                      ranges: Optional[dict] = None):
-    """Deterministic stream of FamilyItem / FamilySkip over admissible params."""
+    """Deterministic stream of FamilyItem / FamilySkip over admissible params.
+
+    Raises ValueError, at the first item, for an unknown tag and for A1 or A2
+    without n.
+    """
     ranges = ranges or {}
+    if tag in ("A1", "A2") and n is None:
+        raise ValueError(f"family {tag} needs n")
 
     def attempt(build, params: FamilyParams):
         try:
@@ -636,12 +635,10 @@ def enumerate_family(tag: str, base: Fq, n: Optional[int] = None,
             yield FamilySkip(params, type(err).__name__)
 
     if tag == "A1":
-        assert n is not None
         for e in ranges.get("e", base.units()):
             yield from attempt(lambda e=e: construct_a1(base, n, e),
                                FamilyParams("A1", n, {"e": e}))
     elif tag == "A2":
-        assert n is not None
         for a in ranges.get("a", base.units()):
             for e in ranges.get("e", base.elements()):
                 yield from attempt(lambda a=a, e=e: construct_a2(base, n, a, e),

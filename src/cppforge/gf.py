@@ -302,25 +302,6 @@ class Context:
             self._digmat = dig
         return self._digmat
 
-    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field addition on arrays of encodings."""
-        if self.p == 2:
-            return a ^ b
-        if self.order <= _DIGIT_CACHE_BOUND:
-            dig = self.digit_matrix()
-            s = dig[a].astype(np.int16) + dig[b]
-            s %= self.p
-            powers = (self.p ** np.arange(self.deg_over_prime)).astype(np.int64)
-            return s.astype(np.int64).dot(powers)
-        out = np.zeros_like(a)
-        pw = 1
-        for _ in range(self.deg_over_prime):
-            da = (a // pw) % self.p
-            db = (b // pw) % self.p
-            out += ((da + db) % self.p) * pw
-            pw *= self.p
-        return out
-
     def __getstate__(self):  # keep contexts picklable without numpy caches
         state = self.__dict__.copy()
         for key in ("_exp", "_log", "_digmat", "_rows"):

@@ -802,11 +802,6 @@ def orbit_parts(rad: Poly):
         yield len(fstar) - 1, Poly(ctx, fstar, trusted=True)
 
 
-def _distinct_degree_split(ctx: Context, f: list) -> list:
-    """All of `orbit_parts` for a monic squarefree list f, parts as lists."""
-    return [(d, list(g.coeffs)) for d, g in orbit_parts(Poly(ctx, f, trusted=True))]
-
-
 def _split_once(ctx: Context, f: list, d: int, rng_state: list) -> list:
     """A proper monic factor of a monic product of distinct degree-d irreducibles.
 
@@ -865,8 +860,8 @@ def factorize(f: Poly) -> Factorization:
     rng_state = [_ctx_seed(ctx, work)]
     factors = []
     for part, mult in _squarefree_split(ctx, work):
-        for d, prod in _distinct_degree_split(ctx, part):
-            for piece in _equal_degree_split(ctx, prod, d, rng_state):
+        for d, prod in orbit_parts(Poly(ctx, part, trusted=True)):
+            for piece in _equal_degree_split(ctx, list(prod.coeffs), d, rng_state):
                 factors.append((Poly(ctx, piece, trusted=True), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return Factorization(unit, tuple(factors))

@@ -1,0 +1,38 @@
+"""The benchmark's tracer (`bench/tracing.py`) against the package.
+
+Its --trace 1 runs look up names in every cppforge layer; a name that is
+pruned from the package makes `install` fail here before it fails there.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from cppforge import cli, cpp_core, families, gf, poly
+from cppforge.gf import Context, Tower
+from cppforge.poly import Poly
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = (gf, poly, cpp_core, families, cli)
+CLASSES = (Context, Tower, Poly)
+
+
+def test_install_traces_a_scan_and_uninstall_restores(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    before = [dict(vars(owner)) for owner in MODULES + CLASSES]
+    tracer = tracing.Tracer()
+    try:
+        uninstall = tracing.install(tracer)
+        try:
+            assert cli.main(["scan", "--family", "A1", "--p", "2", "--n", "4",
+                             "--out", str(tmp_path / "scan.json")]) == 0
+        finally:
+            uninstall()
+    finally:
+        sys.modules.pop("tracing", None)
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.run_scan", "cli.report", "cpp_core.goodness",
+            "cpp_core.witnesses_from_good", "families.enumerate"} <= names
+    for owner, old in zip(MODULES + CLASSES, before):
+        assert all(vars(owner)[name] is value for name, value in old.items()), owner

@@ -125,12 +125,106 @@ SCAN = ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
     ["scan", "--p", "6", "--n", "4", "--family", "A1"],
     SCAN + ["--brute-bound", str(HARD_BRUTE_CAP + 1)],
     ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A9"],
+    ["scan", "--p", "2", "--m", "3", "--family", "A1"],
 ], ids=["missing-file", "range-list", "range-int", "bad-json", "workers-0",
-        "p-not-prime", "brute-bound", "unknown-family"])
+        "p-not-prime", "brute-bound", "unknown-family", "a1-without-n"])
 def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_witness_file_with_a_bad_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "witnesses.csv"
+    bad.write_text(",".join(cli._CSV_HEADER) + "\n6,1,2,0,1|1|1,7,1,A1,{},BruteForce,1\n")
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+FIELD_INFO = ["field-info", "--p", "3", "--m", "2"]
+CONSTRUCT = ["construct", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
+
+
+@pytest.mark.parametrize("argv", [
+    FIELD_INFO + ["--family", "A1"],
+    FIELD_INFO + ["--range", "{}"],
+    FIELD_INFO + ["--brute-bound", "5"],
+    FIELD_INFO + ["--workers", "7"],
+    FIELD_INFO + ["--out", "info.json"],
+    FIELD_INFO + ["--format", "csv"],
+    CONSTRUCT + ["--brute-bound", "5"],
+    CONSTRUCT + ["--workers", "7"],
+    CONSTRUCT + ["--out", "items.json"],
+    CONSTRUCT + ["--format", "csv"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_options_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _cli_report(tmp_path, *argv: str, code: int = 0) -> dict:
+    out = tmp_path / f"{argv[0]}.json"
+    assert main([*argv, "--out", str(out)]) == code
+    return json.loads(out.read_text())
+
+
+# the good shapes of the classification command before it joined the scan path
+DEG9_GF3_GOOD = [
+    {"case": "ii", "A6": 1, "A8": 2}, {"case": "ii", "A6": 2, "A8": 2},
+    *({"case": "iii", "A3": a3, "A4": 1, "A5": a5} for a3 in (1, 2) for a5 in range(3)),
+    {"case": "iv", "A2": 1, "A3": 0, "A5": 0}, {"case": "iv", "A2": 1, "A3": 1, "A5": 0},
+    {"case": "iv", "A2": 1, "A3": 1, "A5": 1}, {"case": "iv", "A2": 1, "A3": 2, "A5": 0},
+    {"case": "iv", "A2": 1, "A3": 2, "A5": 2},
+]
+DEG8_GF4_GOOD = [
+    {"A4": a4, "A6": a6, "A7": a7} for a4, a6, a7 in (
+        (0, 1, 1), (0, 1, 2), (0, 1, 3), (1, 0, 1), (1, 1, 2), (1, 1, 3),
+        (1, 2, 1), (1, 3, 1), (2, 0, 2), (2, 1, 1), (2, 1, 3), (2, 2, 2),
+        (2, 3, 2), (3, 0, 3), (3, 1, 1), (3, 1, 2), (3, 2, 3), (3, 3, 3))
+]
+
+
+class TestClassify:
+    """classify runs the scan path: same report as scan, goodShapes on top."""
+
+    def test_deg9_over_gf3(self, tmp_path):
+        report = _cli_report(tmp_path, "classify", "--family", "Deg9", "--p", "3")
+        assert report["counts"]["constructed"] == 54
+        assert report["goodShapes"] == DEG9_GF3_GOOD
+        assert report["skips"] == report["mismatches"] == []
+
+    def test_deg8_over_gf4(self, tmp_path):
+        report = _cli_report(tmp_path, "classify", "--family", "Deg8", "--p", "2",
+                             "--m", "2")
+        assert report["counts"]["constructed"] == 64
+        assert report["goodShapes"] == DEG8_GF4_GOOD
+
+    def test_family_skips_become_skip_records(self, tmp_path):
+        report = _cli_report(tmp_path, "classify", "--family", "B", "--p", "5")
+        assert report["counts"]["constructed"] == 25
+        assert len(report["skips"]) == report["counts"]["skipped"] == 35
+        assert all(set(skip) == {"params", "reason"} for skip in report["skips"])
+
+    def test_n_is_honoured(self, tmp_path):
+        report = _cli_report(tmp_path, "classify", "--family", "A1", "--p", "2",
+                             "--n", "4")
+        assert report["counts"]["verifiedCpp"] == len(report["witnesses"]) == 4
+        assert report["goodShapes"] == [{"e": 1}]
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "A1", "--p", "2", "--n", "4"],
+        ["--family", "B", "--p", "5"],
+        ["--family", "Deg9", "--p", "3", "--range", '{"cases": ["iii"]}'],
+    ], ids=["A1", "B", "Deg9-iii"])
+    def test_same_report_as_scan(self, tmp_path, argv):
+        classified = _cli_report(tmp_path, "classify", *argv)
+        scanned = _cli_report(tmp_path, "scan", *argv)
+        assert classified["config"].pop("command") == "classify"
+        assert scanned["config"].pop("command") == "scan"
+        del classified["timingSec"], scanned["timingSec"]
+        assert classified == scanned
 
 
 class TestModuleEntryPoint:

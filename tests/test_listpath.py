@@ -3,7 +3,7 @@
 * `_pmul` and `_pdivmod` step with one kernel that indexes the dense op rows of
   small fields.  The reference is a schoolbook product from `_mul_slow`,
   computed on a copy of the field that has no rows.
-* `_distinct_degree_split` and `is_irreducible` take their Frobenius powers
+* `orbit_parts` and `is_irreducible` take their Frobenius powers
   from the matrix of `_frobenius_rows`.  The references are a copy of the
   former pow_mod loop and, for irreducibility, sympy's `gf_irreducible_p`
   over prime fields and a Rabin test with one pow_mod per power elsewhere;
@@ -23,7 +23,6 @@ from cppforge import gf
 from cppforge.gf import mk_field, mk_tower
 from cppforge.poly import (
     Poly,
-    _distinct_degree_split,
     _frobenius_rows,
     _pdivmod,
     _pgcd,
@@ -35,6 +34,7 @@ from cppforge.poly import (
     _psub_x,
     _trim,
     is_irreducible,
+    orbit_parts,
     squarefree_part,
 )
 
@@ -122,6 +122,11 @@ def ref_split(ctx, f: list) -> list:
     return out
 
 
+def split(ctx, f: list) -> list:
+    """All of `orbit_parts` for a monic squarefree list f, parts as lists."""
+    return [(d, list(g.coeffs)) for d, g in orbit_parts(Poly(ctx, f, trusted=True))]
+
+
 def ref_irreducible(ctx, f: list) -> bool:
     """sympy's Rabin test over prime fields; elsewhere Rabin with one pow_mod per power.
 
@@ -163,13 +168,13 @@ class TestFrobeniusMatrix:
     @given(data=st.data())
     def test_split_matches_pow_mod_loop(self, ctx, data):
         f = squarefree_product(ctx, data)
-        assert _distinct_degree_split(ctx, f) == ref_split(ctx, f)
+        assert split(ctx, f) == ref_split(ctx, f)
 
     @bounded
     @given(data=st.data())
     def test_split_of_degree_one_and_two(self, ctx, data):
         f = data.draw(polys(ctx, 2, 3, monic=True))
-        assert _distinct_degree_split(ctx, f) == ref_split(ctx, f)
+        assert split(ctx, f) == ref_split(ctx, f)
 
     @bounded
     @given(data=st.data())
@@ -193,7 +198,7 @@ def test_split_shrinks_mid_split():
     f = _pmul(F, [0, 1, 1], quintic)
     rows = _frobenius_rows(F, f)
     assert _frobenius_rows(F, quintic, rows) == _frobenius_rows(F, quintic)
-    assert _distinct_degree_split(F, f) == [(1, [0, 1, 1]), (5, quintic)] == ref_split(F, f)
+    assert split(F, f) == [(1, [0, 1, 1]), (5, quintic)] == ref_split(F, f)
 
 
 def irreducible_counts(F, top: int) -> list:
