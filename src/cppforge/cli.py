@@ -386,10 +386,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Exit 2 with "config error:" when the arguments cannot be carried out: a
+    bad value (ValueError, FieldError) or a path named on the command line
+    that cannot be read or written (an OSError with a filename: the witness
+    file of verify, or --out).  Any other OSError, such as the OS refusing to
+    start the worker pool, is not a configuration error and propagates.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
     except (OSError, ValueError, FieldError) as err:
+        if isinstance(err, OSError) and err.filename is None:
+            raise
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
@@ -404,9 +414,10 @@ def _run(args: argparse.Namespace) -> int:
         desc = mk_tower(base, args.n).describe() if args.n else base.describe()
         print(json.dumps(desc, indent=2, sort_keys=True))
         return 0
-    config = ScanConfig(args.command, args.p, args.m, args.n, args.family,
-                        json.loads(args.range))
+    ranges = json.loads(args.range)
     if args.command == "construct":
+        config = ScanConfig(args.command, args.p, args.m, args.n, args.family,
+                            ranges)
         config.validate()
         out = []
         for item in enumerate_family(config.family, mk_field(config.p, config.m),
@@ -419,7 +430,8 @@ def _run(args: argparse.Namespace) -> int:
                             "predictedGood": item.predicted_good})
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
-    config.brute_bound, config.workers = args.brute_bound, args.workers
+    config = ScanConfig(args.command, args.p, args.m, args.n, args.family,
+                        ranges, args.brute_bound, args.workers)
     report = run_scan(config)
     _write_report(report, args.out, args.format)
     return report.exit_code

@@ -589,9 +589,8 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
         if not has_root_in_units(cond):
             matches.append("ii")
     if a1 == a2 == 0 and a4 != 0 and (a6, a7, a8) == _deg9_forced_iii(base, a3, a4, a5):
-        # ell1(0) = 2·A4 != 0, so every root of ell1 in GF(q) is a unit
         ell1 = Poly(base, [base.mul(2, a4), base.mul(2, a3), 0, 0, 1])
-        if not has_root_in_units(ell1):
+        if not roots_in(ell1):
             matches.append("iii")
     if a1 == 0 and a4 == 0 and a2 != 0 and (a6, a7, a8) == _deg9_forced_iv(base, a2, a3, a5):
         if legendre(base, base.mul(2, a2)) == -1:

@@ -141,6 +141,21 @@ def test_witness_file_with_a_bad_field_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(SCAN + ["--range", '{"e": [1]}', "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_os_error_without_a_path_propagates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    with pytest.raises(BlockingIOError):
+        main(SCAN + ["--workers", "2"])
+
+
 FIELD_INFO = ["field-info", "--p", "3", "--m", "2"]
 CONSTRUCT = ["construct", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
 
