@@ -126,8 +126,10 @@ SCAN = ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
     SCAN + ["--brute-bound", str(HARD_BRUTE_CAP + 1)],
     ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A9"],
     ["scan", "--p", "2", "--m", "3", "--family", "A1"],
+    SCAN + ["--range", '{"e": [1]}', "--out", "no-such-dir/report.json"],
 ], ids=["missing-file", "range-list", "range-int", "bad-json", "workers-0",
-        "p-not-prime", "brute-bound", "unknown-family", "a1-without-n"])
+        "p-not-prime", "brute-bound", "unknown-family", "a1-without-n",
+        "out-not-writable"])
 def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -138,12 +140,6 @@ def test_witness_file_with_a_bad_field_exits_2(tmp_path, capsys):
     bad = tmp_path / "witnesses.csv"
     bad.write_text(",".join(cli._CSV_HEADER) + "\n6,1,2,0,1|1|1,7,1,A1,{},BruteForce,1\n")
     assert main(["verify", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-
-
-def test_unwritable_out_exits_2(tmp_path, capsys):
-    out = tmp_path / "no-such-dir" / "report.json"
-    assert main(SCAN + ["--range", '{"e": [1]}', "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
