@@ -66,6 +66,7 @@ from .families import (
     construct_lin_d,
     dickson_split_data,
     enumerate_family,
+    family_params,
     FamilyItem,
     FamilyParams,
     FamilySkip,

@@ -15,12 +15,20 @@ lists the params of the good items (predicted good and confirmed by the
 goodness oracle) in goodShapes, in enumeration order.  Each subcommand
 accepts only the options it reads.
 
-A scan builds every family item once, in the parent process, and checks
-each through one function, _scan_item, whatever the worker count.  With
---workers k > 1 only the checking and brute force are split: each of the k
-worker processes gets one contiguous chunk of the items.
+A scan builds each family item in the process that checks it, right before
+its check, through one function, _scan_chunk, whatever the worker count.
+The parent computes only the family's parameter list (family_params) and
+splits it into one contiguous chunk per worker, one chunk for --workers 1;
+each process draws its chunk's items from enumerate_family one at a time and
+checks each with _scan_item before building the next.  The first brute
+force in a process builds the tower's exp/log tables there, so the items
+built after it use tabled tower multiplication; with --workers k > 1 the
+parent builds no item and no table.  Results are merged in enumeration
+order.  An exception other than FieldError while building or checking one
+item becomes an internalErrors record and the scan goes on.
 
-Exit codes: 0 ok, 1 mismatches found, 2 configuration error.
+Exit codes: 0 ok, 1 mismatches found, 2 configuration error, 3 internal
+error in at least one item (which takes precedence over 1).
 """
 
 from __future__ import annotations
@@ -32,9 +40,10 @@ import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dfield
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 from .gf import (
@@ -54,7 +63,7 @@ from .cpp_core import (
     witness_from_json,
     witnesses_from_good,
 )
-from .families import FamilySkip, enumerate_family
+from .families import FamilySkip, enumerate_family, family_params
 
 
 @dataclass
@@ -88,6 +97,7 @@ class ScanReport:
     good_shapes: list
     scalar_classes: int
     timing_sec: float
+    internal_errors: list = dfield(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -98,12 +108,13 @@ class ScanReport:
             "mismatches": self.mismatches,
             "skips": self.skips,
             "goodShapes": self.good_shapes,
+            "internalErrors": self.internal_errors,
             "timingSec": self.timing_sec,
         }
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.mismatches else 0
+        return 3 if self.internal_errors else 1 if self.mismatches else 0
 
 
 def _scan_item(item, tower, brute_bound: int) -> dict:
@@ -115,8 +126,8 @@ def _scan_item(item, tower, brute_bound: int) -> dict:
     """
     if isinstance(item, FamilySkip):
         return {"skip": {"params": item.params.params, "reason": item.reason}}
-    out = {"witnesses": [], "mismatches": [], "predicted": item.predicted_good,
-           "good": False, "verified_cpp": 0}
+    out = {"params": item.params.params, "witnesses": [], "mismatches": [],
+           "predicted": item.predicted_good, "good": False, "verified_cpp": 0}
     rep = goodness(item.g)
     if rep.is_good != item.predicted_good:
         out["mismatches"].append({
@@ -155,11 +166,43 @@ def _scan_item(item, tower, brute_bound: int) -> dict:
     return out
 
 
+# traceback lines kept in an internalErrors record: the innermost frames
+_TRACEBACK_LINES = 6
+
+
+def _scan_chunk(params: list, base, tower, brute_bound: int) -> list:
+    """Build and check the items of params, each right before its check.
+
+    Returns one result per FamilyParams, in order.  An exception other than
+    FieldError while building or checking an item becomes that item's
+    {"error": ...} record, and the chunk goes on with a fresh stream of the
+    items after it.
+    """
+    results: list = []
+    while len(results) < len(params):
+        try:
+            for item in enumerate_family(base, params[len(results):]):
+                results.append(_scan_item(item, tower, brute_bound))
+        except FieldError:
+            raise
+        except Exception as err:  # one failing item must not end the scan
+            tb = "".join(traceback.format_tb(err.__traceback__)).splitlines()
+            results.append({"error": {
+                "kind": "InternalError",
+                "params": params[len(results)].params,
+                "exception": type(err).__name__,
+                "message": str(err),
+                "traceback": tb[-_TRACEBACK_LINES:],
+            }})
+    return results
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
     """Enumerate a family, cross-check every prediction, verify witnesses.
 
-    Items are built once, here in the parent; --workers splits only their
-    checking and brute force, one contiguous chunk of items per worker.
+    The parent computes the parameter list only; each process, the parent
+    itself for --workers 1, builds and checks one contiguous chunk of it
+    (_scan_chunk), and the results are merged in enumeration order.
     """
     config.validate()
     t0 = time.time()
@@ -168,28 +211,33 @@ def run_scan(config: ScanConfig) -> ScanReport:
     tower = None
     if n is not None:
         tower = mk_tower(base, n)
-    items = list(enumerate_family(config.family, base, n, config.ranges))
+    params = family_params(config.family, base, n, config.ranges)
     counts = {"constructed": 0, "predictedGood": 0, "verifiedCpp": 0,
               "refuted": 0, "skipped": 0}
     witnesses: list = []
     mismatches: list = []
     skips: list = []
     good_shapes: list = []
-    args = (_scan_item, items, repeat(tower), repeat(config.brute_bound))
+    internal_errors: list = []
+    size = max(1, math.ceil(len(params) / config.workers))
+    chunks = [params[i:i + size] for i in range(0, len(params), size)]
+    args = (_scan_chunk, chunks, repeat(base), repeat(tower), repeat(config.brute_bound))
     if config.workers == 1:
-        results = list(map(*args))
+        parts = list(map(*args))
     else:
-        chunk = max(1, math.ceil(len(items) / config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(*args, chunksize=chunk))
-    for item, res in zip(items, results):
+            parts = list(pool.map(*args))
+    for res in chain.from_iterable(parts):
+        if "error" in res:
+            internal_errors.append(res["error"])
+            continue
         if "skip" in res:
             counts["skipped"] += 1
             skips.append(res["skip"])
             continue
         counts["constructed"] += 1
         if res["good"]:
-            good_shapes.append(item.params.params)
+            good_shapes.append(res["params"])
         if res["predicted"]:
             counts["predictedGood"] += 1
         else:
@@ -212,6 +260,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
         good_shapes=good_shapes,
         scalar_classes=scalar_class_count(witnesses) if witnesses else 0,
         timing_sec=round(time.time() - t0, 3),
+        internal_errors=internal_errors,
     )
     return report
 
@@ -419,9 +468,10 @@ def _run(args: argparse.Namespace) -> int:
         config = ScanConfig(args.command, args.p, args.m, args.n, args.family,
                             ranges)
         config.validate()
+        base = mk_field(config.p, config.m)
         out = []
-        for item in enumerate_family(config.family, mk_field(config.p, config.m),
-                                     config.n, config.ranges):
+        for item in enumerate_family(base, family_params(config.family, base,
+                                                         config.n, config.ranges)):
             if isinstance(item, FamilySkip):
                 out.append({"skip": item.reason, "params": item.params.params})
             else:

@@ -25,6 +25,7 @@ Families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -615,100 +616,116 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
 # ---------------------------------------------------------------------------
 # enumeration
 
+_DEG9_CASES = ("i", "ii", "iii", "iv")
 
-def enumerate_family(tag: str, base: Fq, n: Optional[int] = None,
-                     ranges: Optional[dict] = None):
-    """Deterministic stream of FamilyItem / FamilySkip over admissible params.
 
-    Raises ValueError, at the first item, for an unknown tag and for A1 or A2
-    without n.
+def family_params(tag: str, base: Fq, n: Optional[int] = None,
+                  ranges: Optional[dict] = None) -> list:
+    """The FamilyParams of a family over base, in enumeration order.
+
+    Builds nothing: enumerate_family turns this list, or any slice of it,
+    into items.  Each family loops over its keys in a fixed order, the last
+    varying fastest; ranges maps a key to the list of values that replaces
+    its default loop.  Deg9 reads one key, "cases", the subset of its four
+    shapes to enumerate.
+
+    Raises ValueError for an unknown tag, for A1 or A2 without n, for a range
+    key the family does not read, and for a range value that is not an int
+    ("r") or an element of base (every other key but "cases"); NotChar2 and
+    NotChar3 (FieldError) for Deg8 and Deg9 over the wrong characteristic.
     """
-    ranges = ranges or {}
+    E, U = base.elements(), base.units()
     if tag in ("A1", "A2") and n is None:
         raise ValueError(f"family {tag} needs n")
-
-    def attempt(build, params: FamilyParams):
-        try:
-            yield build()
-        except FieldError as err:
-            yield FamilySkip(params, type(err).__name__)
-
     if tag == "A1":
-        for e in ranges.get("e", base.units()):
-            yield from attempt(lambda e=e: construct_a1(base, n, e),
-                               FamilyParams("A1", n, {"e": e}))
+        loops = {"e": U}
     elif tag == "A2":
-        for a in ranges.get("a", base.units()):
-            for e in ranges.get("e", base.elements()):
-                yield from attempt(lambda a=a, e=e: construct_a2(base, n, a, e),
-                                   FamilyParams("A2", n, {"a": a, "e": e}))
+        loops = {"a": U, "e": E}
     elif tag == "B":
-        nb = base.p - 1
-        for r in ranges.get("r", _divisors(nb)):
-            for a in ranges.get("a", base.units()):
-                for e in ranges.get("e", base.elements()):
-                    yield from attempt(lambda r=r, a=a, e=e: construct_b(base, r, a, e),
-                                       FamilyParams("B", nb, {"r": r, "a": a, "e": e}))
+        n = base.p - 1
+        loops = {"r": _divisors(n), "a": U, "e": E}
     elif tag == "C":
-        for r in ranges.get("r", [next(rr for rr in range(1, 8)
-                                       if 3 ** rr > 3 and math.gcd(rr, 2 * base.m) == 1)]):
-            for a in ranges.get("a", base.units()):
-                for e in ranges.get("e", base.elements()):
-                    yield from attempt(lambda r=r, a=a, e=e: construct_c(base, r, a, e),
-                                       FamilyParams("C", 0, {"r": r, "a": a, "e": e}))
-    elif tag == "D_lin2":
-        for r in ranges.get("r", _divisors(base.m)):
-            yield from attempt(lambda r=r: construct_lin_d(base, "lin2", r=r),
-                               FamilyParams("D_lin2", 0, {"r": r}))
-    elif tag == "D_lin3":
-        for r in ranges.get("r", [base.m]):
-            yield from attempt(lambda r=r: construct_lin_d(base, "lin3", r=r),
-                               FamilyParams("D_lin3", 0, {"r": r}))
+        n = 0
+        r = next(rr for rr in range(1, 8) if 3 ** rr > 3 and math.gcd(rr, 2 * base.m) == 1)
+        loops = {"r": [r], "a": U, "e": E}
+    elif tag in ("D_lin2", "D_lin3"):
+        n = 0
+        loops = {"r": _divisors(base.m) if tag == "D_lin2" else [base.m]}
     elif tag == "Deg8":
-        for a4 in ranges.get("A4", base.elements()):
-            for a6 in ranges.get("A6", base.elements()):
-                for a7 in ranges.get("A7", base.elements()):
-                    res = classify_deg8(base, [0, 0, 0, a4, 0, a6, a7])
-                    yield FamilyItem(
-                        FamilyParams("Deg8", 7, {"A4": a4, "A6": a6, "A7": a7}),
-                        res.f_poly, res.good)
+        if base.p != 2:
+            raise NotChar2("octic classifier requires characteristic 2")
+        n = 7
+        loops = {"A4": E, "A6": E, "A7": E}
     elif tag == "Deg9":
-        yield from _enumerate_deg9(base, ranges)
+        if base.p != 3:
+            raise NotChar3("nonic classifier requires characteristic 3")
+        loops = {"cases": _DEG9_CASES}
     else:
         raise ValueError(f"unknown family tag {tag!r}")
+    for key, vals in (ranges or {}).items():
+        if key not in loops:
+            raise ValueError(f"family {tag} does not read range key {key!r}; "
+                             f"it reads {list(loops)}")
+        if key == "cases":
+            ok = all(v in _DEG9_CASES for v in vals)
+        else:
+            ok = all(type(v) is int and (key == "r" or 0 <= v < base.order) for v in vals)
+        if not ok:
+            raise ValueError(f"range key {key!r} of family {tag} has a bad value in {vals}")
+        loops[key] = vals
+    if tag == "Deg9":
+        shapes = {"i": {"A3": E, "A6": E}, "ii": {"A6": E, "A8": E},
+                  "iii": {"A3": E, "A4": U, "A5": E}, "iv": {"A2": U, "A3": E, "A5": E}}
+        return [FamilyParams(tag, 8, {"case": case, **values})
+                for case in _DEG9_CASES if case in loops["cases"]
+                for values in _product(shapes[case])]
+    return [FamilyParams(tag, n, values) for values in _product(loops)]
 
 
-def _enumerate_deg9(base: Fq, ranges: dict):
-    cases = ranges.get("cases", ("i", "ii", "iii", "iv"))
-    if "i" in cases:
-        for a3 in base.elements():
-            for a6 in base.elements():
-                res = classify_deg9(base, [0, 0, a3, 0, 0, a6, 0, 0])
-                yield FamilyItem(FamilyParams("Deg9", 8, {"case": "i", "A3": a3, "A6": a6}),
-                                 res.f_poly, res.good)
-    if "ii" in cases:
-        for a6 in base.elements():
-            for a8 in base.elements():
-                res = classify_deg9(base, [0, 0, 0, 0, 0, a6, 0, a8])
-                yield FamilyItem(FamilyParams("Deg9", 8, {"case": "ii", "A6": a6, "A8": a8}),
-                                 res.f_poly, res.good)
-    if "iii" in cases:
-        for a3 in base.elements():
-            for a4 in base.units():
-                for a5 in base.elements():
-                    a6, a7, a8 = _deg9_forced_iii(base, a3, a4, a5)
-                    res = classify_deg9(base, [0, 0, a3, a4, a5, a6, a7, a8])
-                    yield FamilyItem(
-                        FamilyParams("Deg9", 8,
-                                     {"case": "iii", "A3": a3, "A4": a4, "A5": a5}),
-                        res.f_poly, res.good)
-    if "iv" in cases:
-        for a2 in base.units():
-            for a3 in base.elements():
-                for a5 in base.elements():
-                    a6, a7, a8 = _deg9_forced_iv(base, a2, a3, a5)
-                    res = classify_deg9(base, [0, a2, a3, 0, a5, a6, a7, a8])
-                    yield FamilyItem(
-                        FamilyParams("Deg9", 8,
-                                     {"case": "iv", "A2": a2, "A3": a3, "A5": a5}),
-                        res.f_poly, res.good)
+def _product(loops: dict) -> list:
+    """One dict per combination of the loops' values, the last key fastest."""
+    return [dict(zip(loops, combo)) for combo in itertools.product(*loops.values())]
+
+
+def _build(base: Fq, fp: FamilyParams) -> FamilyItem:
+    v = fp.params
+    if fp.tag == "A1":
+        return construct_a1(base, fp.n, v["e"])
+    if fp.tag == "A2":
+        return construct_a2(base, fp.n, v["a"], v["e"])
+    if fp.tag == "B":
+        return construct_b(base, v["r"], v["a"], v["e"])
+    if fp.tag == "C":
+        return construct_c(base, v["r"], v["a"], v["e"])
+    if fp.tag in ("D_lin2", "D_lin3"):
+        return construct_lin_d(base, fp.tag[2:], r=v["r"])
+    if fp.tag == "Deg8":
+        res = classify_deg8(base, [0, 0, 0, v["A4"], 0, v["A6"], v["A7"]])
+    elif v["case"] == "i":
+        res = classify_deg9(base, [0, 0, v["A3"], 0, 0, v["A6"], 0, 0])
+    elif v["case"] == "ii":
+        res = classify_deg9(base, [0, 0, 0, 0, 0, v["A6"], 0, v["A8"]])
+    elif v["case"] == "iii":
+        a3, a4, a5 = v["A3"], v["A4"], v["A5"]
+        res = classify_deg9(base, [0, 0, a3, a4, a5, *_deg9_forced_iii(base, a3, a4, a5)])
+    else:
+        a2, a3, a5 = v["A2"], v["A3"], v["A5"]
+        res = classify_deg9(base, [0, a2, a3, 0, a5, *_deg9_forced_iv(base, a2, a3, a5)])
+    return FamilyItem(fp, res.f_poly, res.good)
+
+
+def enumerate_family(base: Fq, params: Iterable[FamilyParams]):
+    """Lazy stream of the FamilyItem or FamilySkip of each FamilyParams, in order.
+
+    Each item is built when next() asks for it, so a consumer that checks
+    each item before drawing the next runs construction and checking
+    interleaved, in its own process.  A FieldError from a constructor makes
+    the item a FamilySkip named after the error; any other exception ends
+    the stream.
+    """
+    for fp in params:
+        try:
+            item = _build(base, fp)
+        except FieldError as err:
+            item = FamilySkip(fp, type(err).__name__)
+        yield item

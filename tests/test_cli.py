@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import cppforge
-from cppforge import cli
+from cppforge import cli, families
 from cppforge.cli import ScanConfig, main, run_scan
-from cppforge.gf import HARD_BRUTE_CAP, FqElem
+from cppforge.gf import HARD_BRUTE_CAP, FqElem, mk_field, mk_tower
 
 
 class TestScanDegreeGuard:
@@ -31,9 +31,13 @@ class TestScanDegreeGuard:
 
 
 # GF((2^3)^4): A1 with e = 0 is one ZeroShift skip; its three items give 12
-# witnesses.  A2 gives 56 items and 210 brute-forced witnesses.
+# witnesses.  A2 gives 56 items and 210 brute-forced witnesses.  Without a
+# tower, Deg9 over GF(3) classifies 54 shapes, and B over GF(5) builds 25
+# items and skips 35 (ExceptionalityViolated) among them.
 A1_CASE = dict(p=2, m=3, n=4, family="A1", ranges={"e": [0, 1, 2, 3]})
 A2_CASE = dict(p=2, m=3, n=4, family="A2")
+DEG9_CASE = dict(p=3, family="Deg9")
+B_CASE = dict(p=5, family="B")
 
 
 def _report_json(report) -> dict:
@@ -45,8 +49,9 @@ def _report_json(report) -> dict:
 
 class TestSerialParallelAgreement:
     @pytest.mark.parametrize("case, skipped, items, verified",
-                             [(A1_CASE, 1, 3, 12), (A2_CASE, 0, 56, 210)],
-                             ids=["A1", "A2"])
+                             [(A1_CASE, 1, 3, 12), (A2_CASE, 0, 56, 210),
+                              (DEG9_CASE, 0, 54, 0), (B_CASE, 35, 25, 0)],
+                             ids=["A1", "A2", "Deg9", "B"])
     def test_one_and_two_workers_agree(self, case, skipped, items, verified):
         serial = run_scan(ScanConfig("scan", workers=1, **case))
         parallel = run_scan(ScanConfig("scan", workers=2, **case))
@@ -55,6 +60,75 @@ class TestSerialParallelAgreement:
         assert serial.counts["skipped"] == skipped
         assert serial.counts["constructed"] == items
         assert len(serial.witnesses) == serial.counts["verifiedCpp"] == verified
+
+
+def _untabled_a2_tower(monkeypatch):
+    """The interned tower of A2_CASE, its exp/log tables cleared for the test."""
+    tower = mk_tower(mk_field(2, 3), 4)
+    for key in ("_exp", "_log", "_rows"):
+        monkeypatch.setattr(tower, key, None)
+    return tower
+
+
+class TestItemsBuiltWhereChecked:
+    def test_only_the_first_item_is_built_without_tables(self, monkeypatch):
+        # the first brute force builds the tables, so later constructions
+        # multiply through them; built all up front, every item would not
+        tower = _untabled_a2_tower(monkeypatch)
+        construct_a2 = families.construct_a2
+        untabled = []
+
+        def recording(*args):
+            untabled.append(tower._log is None)
+            return construct_a2(*args)
+
+        monkeypatch.setattr(families, "construct_a2", recording)
+        report = run_scan(ScanConfig("scan", workers=1, **A2_CASE))
+        assert report.counts["constructed"] == len(untabled) == 56
+        assert not any(untabled[1:])
+
+    def test_parent_builds_no_item_and_no_table(self, monkeypatch, tmp_path):
+        tower = _untabled_a2_tower(monkeypatch)
+        construct_a2 = families.construct_a2
+        pids = tmp_path / "pids"
+
+        def recording(*args):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return construct_a2(*args)
+
+        monkeypatch.setattr(families, "construct_a2", recording)
+        report = run_scan(ScanConfig("scan", workers=2, **A2_CASE))
+        calls = pids.read_text().split()
+        assert report.counts["constructed"] == len(calls) == 56
+        assert str(os.getpid()) not in calls
+        assert tower._log is None
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_item_is_recorded_and_the_scan_goes_on(self, monkeypatch, workers):
+        construct_a2 = families.construct_a2
+
+        def failing(base, n, a, e):
+            if e == 5:
+                raise RuntimeError(f"no item for e = {e}")
+            return construct_a2(base, n, a, e)
+
+        monkeypatch.setattr(families, "construct_a2", failing)
+        report = run_scan(ScanConfig("scan", workers=workers, ranges={"a": [1]},
+                                     **A2_CASE))
+        assert report.exit_code == 3
+        [error] = report.internal_errors
+        assert (error["kind"], error["params"], error["exception"], error["message"]) == (
+            "InternalError", {"a": 1, "e": 5}, "RuntimeError", "no item for e = 5")
+        assert "raise RuntimeError" in error["traceback"][-1]
+        # with two workers e = 5 sits inside the second chunk: e = 6 and 7 follow it
+        rest = run_scan(ScanConfig("scan", ranges={"a": [1], "e": [0, 1, 2, 3, 4, 6, 7]},
+                                   **A2_CASE))
+        report.internal_errors = []
+        assert _report_json(report) == _report_json(rest)
+        assert report.counts["constructed"] == 7
 
 
 class TestPredictedRootMismatch:
@@ -127,9 +201,13 @@ SCAN = ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
     ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A9"],
     ["scan", "--p", "2", "--m", "3", "--family", "A1"],
     SCAN + ["--range", '{"e": [1]}', "--out", "no-such-dir/report.json"],
+    ["scan", "--family", "Deg9", "--p", "3", "--range", '{"A3": [1]}'],
+    ["scan", "--family", "A2", "--p", "2", "--m", "3", "--n", "4",
+     "--range", '{"x": [1], "e": [1]}'],
+    SCAN + ["--range", '{"e": [8]}'],
 ], ids=["missing-file", "range-list", "range-int", "bad-json", "workers-0",
         "p-not-prime", "brute-bound", "unknown-family", "a1-without-n",
-        "out-not-writable"])
+        "out-not-writable", "deg9-unread-key", "a2-unread-key", "range-value"])
 def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

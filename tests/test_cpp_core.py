@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cppforge import cpp_core, gf, poly
-from cppforge.families import FamilyItem, construct_c, enumerate_family
+from cppforge.families import FamilyItem, construct_c, enumerate_family, family_params
 from cppforge.gf import FieldTooLarge, elem, mk_field, mk_tower
 from cppforge.poly import ConstantPolynomial, Poly, factorize, orbit_split, roots_in
 from cppforge.cpp_core import (
@@ -438,7 +438,7 @@ class TestFrobeniusInvariance:
     def test_every_witness_brute_forced_alone(self, tag, base, n):
         base = mk_field(*base)
         checked = 0
-        for item in enumerate_family(tag, base, n):
+        for item in enumerate_family(base, family_params(tag, base, n)):
             if not isinstance(item, FamilyItem):
                 continue
             tn = item.g.degree - 1
@@ -459,7 +459,7 @@ class TestScalarClassCount:
         base = mk_field(*base)
         t = mk_tower(base, n)
         ws = []
-        for item in enumerate_family(tag, base, n, ranges):
+        for item in enumerate_family(base, family_params(tag, base, n, ranges)):
             if isinstance(item, FamilyItem) and item.g.degree == n + 1:
                 rep = goodness(item.g)
                 if rep.is_good:
