@@ -634,6 +634,8 @@ def family_params(tag: str, base: Fq, n: Optional[int] = None,
     ("r") or an element of base (every other key but "cases"); NotChar2 and
     NotChar3 (FieldError) for Deg8 and Deg9 over the wrong characteristic.
     """
+    # n ends as each FamilyParams.n: the tower degree for A1 and A2, a
+    # constant of the family otherwise
     E, U = base.elements(), base.units()
     if tag in ("A1", "A2") and n is None:
         raise ValueError(f"family {tag} needs n")
