@@ -25,7 +25,10 @@ force in a process builds the tower's exp/log tables there, so the items
 built after it use tabled tower multiplication; with --workers k > 1 the
 parent builds no item and no table.  Results are merged in enumeration
 order.  An exception other than FieldError while building or checking one
-item becomes an internalErrors record and the scan goes on.
+item becomes an internalErrors record and the scan goes on.  goodness runs
+once per equivalence class in each chunk (cpp_core.goodness_class: g up
+to c·g(c'x) and the coefficient Frobenius); the other items of the class
+reuse its verdict.
 
 Exit codes: 0 ok, 1 mismatches found, 2 configuration error, 3 internal
 error in at least one item (which takes precedence over 1).
@@ -56,10 +59,13 @@ from .gf import (
 from .poly import Poly
 from .cpp_core import (
     VERIFIED_BRUTE,
+    GoodnessReport,
     cpp_exponent,
     goodness,
+    goodness_class,
     is_cpp_monomial,
     scalar_class_count,
+    v_poly,
     witness_from_json,
     witnesses_from_good,
 )
@@ -117,18 +123,28 @@ class ScanReport:
         return 3 if self.internal_errors else 1 if self.mismatches else 0
 
 
-def _scan_item(item, tower, brute_bound: int) -> dict:
+def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
     """Check one enumerated item: its skip, or its verdicts and witnesses.
 
     A FamilyItem's prediction is cross-checked against goodness(); a good g
     of degree n + 1 yields its witnesses, brute-forced within the bound, and
     its predicted roots (when the family gives them) are compared with them.
+    verdicts maps goodness_class keys to (is_good, reason): goodness() runs
+    only for a key not in it, and an item whose class is there gets a report
+    with that verdict and its own g and v_g (its radical is computed on
+    demand, for its witnesses).
     """
     if isinstance(item, FamilySkip):
         return {"skip": {"params": item.params.params, "reason": item.reason}}
     out = {"params": item.params.params, "witnesses": [], "mismatches": [],
            "predicted": item.predicted_good, "good": False, "verified_cpp": 0}
-    rep = goodness(item.g)
+    key = goodness_class(item.g)
+    hit = verdicts.get(key)
+    if hit:
+        rep = GoodnessReport(item.g, v_poly(item.g), *hit)
+    else:
+        rep = goodness(item.g)
+        verdicts[key] = (rep.is_good, rep.reason)
     if rep.is_good != item.predicted_good:
         out["mismatches"].append({
             "kind": "PredictionMismatch",
@@ -173,16 +189,18 @@ _TRACEBACK_LINES = 6
 def _scan_chunk(params: list, base, tower, brute_bound: int) -> list:
     """Build and check the items of params, each right before its check.
 
-    Returns one result per FamilyParams, in order.  An exception other than
-    FieldError while building or checking an item becomes that item's
-    {"error": ...} record, and the chunk goes on with a fresh stream of the
-    items after it.
+    Returns one result per FamilyParams, in order.  One goodness verdict per
+    goodness_class key is kept for the whole chunk, so goodness() runs once
+    per equivalence class in it.  An exception other than FieldError while
+    building or checking an item becomes that item's {"error": ...} record,
+    and the chunk goes on with a fresh stream of the items after it.
     """
     results: list = []
+    verdicts: dict = {}
     while len(results) < len(params):
         try:
             for item in enumerate_family(base, params[len(results):]):
-                results.append(_scan_item(item, tower, brute_bound))
+                results.append(_scan_item(item, tower, brute_bound, verdicts))
         except FieldError:
             raise
         except Exception as err:  # one failing item must not end the scan

@@ -10,6 +10,9 @@ single Frobenius orbit; such g are called good.  This module provides:
   single-orbit test, read off the first part of the lazy distinct-degree
   split of the radical of v_g (g is good iff that part is the whole
   radical); the full orbit sizes are computed only on request;
+* the goodness class key: g up to h(x) = c g(c' x) and the Frobenius on its
+  coefficients, which keep the verdict, so a scan runs goodness once per
+  class in each chunk of items, that is, per process;
 * brute-force permutation / complete-permutation oracles over the whole
   field: the units are laid out in rows by the cosets of the units of the
   base field, so each term of b^(-1) x^d + x is a rotation of one row of the
@@ -285,6 +288,76 @@ def goodness(g: Poly) -> GoodnessReport:
     return GoodnessReport(g, vg, False, reason, radical)
 
 
+# coefficient fields up to this order get exp/log tables for goodness_class
+_CLASS_TABLE_BOUND = 1 << 16
+
+
+def goodness_class(g: Poly) -> tuple:
+    """A hashable key shared by g, every h = c·g(c'x) and their Frobenius images.
+
+    For c, c' in GF(q)*, v_h(x) = c·c'·v_g(c'x), so each irreducible factor
+    of v_g maps to one of v_h of the same degree; also h(0) = c·g(0) and
+    h'(0) = c·c'·g'(0).  For sigma: a -> a^p on the coefficients,
+    v_(g^sigma) = (v_g)^sigma, and sigma maps irreducibles to irreducibles
+    of the same degree.  So goodness() gives g and h the same is_good and
+    reason, and equal keys imply equal verdicts.
+
+    The key is (deg g, vector), the vector one fixed member of the class:
+    with g made monic, the discrete logs l_j of its lower coefficients (-1
+    for a zero one).  Scaling by c' = gamma^t sends l_j to
+    l_j - (D - j)·t mod (q - 1); the least such vector over t is found by
+    narrowing a coset of t one coefficient at a time, and the key takes the
+    least of it over the Frobenius powers l -> p·l.  When the coefficient
+    field is too large for tables the key is (deg g, coefficient tuple):
+    the exact polynomial, one entry longer than any log vector, so it never
+    equals one.
+    """
+    ctx, coeffs = g.ctx, g.coeffs
+    D = len(coeffs) - 1
+    if D < 1:
+        return (D, coeffs)
+    if ctx._log_list is None:
+        try:
+            ctx.ensure_tables(_CLASS_TABLE_BOUND)
+        except FieldTooLarge:
+            return (D, coeffs)
+        ctx._log_list = ctx._log.tolist()
+    logs, N, p = ctx._log_list, ctx.order - 1, ctx.p
+    lead = logs[coeffs[-1]]
+    vec = [(logs[c] - lead) % N if c else -1 for c in coeffs[:-1]]
+    best = _least_scaling(vec, D, N)
+    for _ in range(ctx.deg_over_prime - 1):
+        vec = [l * p % N if l >= 0 else -1 for l in vec]
+        best = min(best, _least_scaling(vec, D, N))
+    return (D, best)
+
+
+def _least_scaling(vec: list, D: int, N: int) -> tuple:
+    """Least over t mod N of the vector l_j - (D - j)·t mod N (-1 kept).
+
+    The t that reach the least vector so far form a coset t0 + s·Z of a
+    subgroup, s dividing N.  Over that coset the next coordinate
+    l - a·t0 - a·s·k takes the values congruent to l - a·t0 modulo
+    G = gcd(a·s, N); the least is (l - a·t0) mod G, reached for k in one
+    class modulo N/G, which leaves the coset t0 + s·k0 + (s·N/G)·Z.
+    """
+    t0, s = 0, 1
+    for j, l in enumerate(vec):
+        if s == N:
+            break
+        if l < 0:
+            continue
+        a = D - j
+        G = math.gcd(a * s, N)
+        rhs = (l - a * t0) % N
+        rhs -= rhs % G
+        if G < N:
+            k0 = rhs // G * pow(a * s // G, -1, N // G) % (N // G)
+            t0 = (t0 + s * k0) % N
+        s = s * N // G
+    return tuple((l - (D - j) * t0) % N if l >= 0 else -1 for j, l in enumerate(vec))
+
+
 # ---------------------------------------------------------------------------
 # orbit structure
 
@@ -410,13 +483,15 @@ def scalar_class_count(witnesses: list) -> int:
     """Number of witness classes up to multiplication by base-field units.
 
     GF(q) sits in the tower as the constants, so c·b for c in GF(q)* is
-    b with each coordinate multiplied by c in GF(q).
+    b with each coordinate multiplied by c in GF(q).  Dividing b by its
+    first nonzero coordinate gives the one member of its class whose first
+    nonzero coordinate is 1.
     """
     classes = set()
     for w in witnesses:
         base, coords = w.tower.base, w.tower.decode(w.b)
-        classes.add(min(w.tower.encode([base.mul(c, x) for x in coords])
-                        for c in base.units()))
+        inv = base.inv(next((x for x in coords if x), 1))
+        classes.add(w.tower.encode([base.mul(inv, x) for x in coords]))
     return len(classes)
 
 

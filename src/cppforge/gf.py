@@ -140,6 +140,7 @@ class Context:
     # populated lazily
     _exp: Optional[np.ndarray] = None
     _log: Optional[np.ndarray] = None
+    _log_list: Optional[list] = None       # _log as a list, cpp_core.goodness_class
     _digmat: Optional[np.ndarray] = None
     _rows: Optional[np.ndarray] = None     # exp by cosets, cpp_core._eval_all_sparse
     _primitive: Optional[int] = None
@@ -304,7 +305,7 @@ class Context:
 
     def __getstate__(self):  # keep contexts picklable without numpy caches
         state = self.__dict__.copy()
-        for key in ("_exp", "_log", "_digmat", "_rows"):
+        for key in ("_exp", "_log", "_log_list", "_digmat", "_rows"):
             state[key] = None
         return state
 

@@ -12,6 +12,7 @@ import pytest
 import cppforge
 from cppforge import cli, families
 from cppforge.cli import ScanConfig, main, run_scan
+from cppforge.cpp_core import goodness
 from cppforge.gf import HARD_BRUTE_CAP, FqElem, mk_field, mk_tower
 
 
@@ -314,6 +315,93 @@ class TestClassify:
         assert scanned["config"].pop("command") == "scan"
         del classified["timingSec"], scanned["timingSec"]
         assert classified == scanned
+
+
+DEG9_GF9_CASE = dict(p=3, m=2, family="Deg9")
+DEG9_GF9_ARGV = ["scan", "--family", "Deg9", "--p", "3", "--m", "2"]
+
+
+def _params_key(params: dict) -> str:
+    return json.dumps(params, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def deg9_gf9_verdicts() -> dict:
+    """Direct goodness (is_good, reason) of every Deg9 shape over GF(9), by params."""
+    base = mk_field(3, 2)
+    items = families.enumerate_family(base, families.family_params("Deg9", base, None))
+    return {_params_key(item.params.params): (rep.is_good, rep.reason)
+            for item in items for rep in [goodness(item.g)]}
+
+
+def _counting_goodness(monkeypatch) -> list:
+    calls = []
+    real = cli.goodness
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cli, "goodness", counted)
+    return calls
+
+
+class TestGoodnessOncePerClass:
+    """A scan runs goodness once per goodness_class key and reuses the verdict."""
+
+    @pytest.mark.parametrize("case", [DEG9_GF9_CASE, A2_CASE], ids=["Deg9", "A2"])
+    def test_every_report_equals_direct_goodness(self, monkeypatch, case):
+        reports = []
+        real = cli.GoodnessReport
+
+        def recording(*args):
+            reports.append(real(*args))
+            return reports[-1]
+
+        calls = _counting_goodness(monkeypatch)
+        monkeypatch.setattr(cli, "GoodnessReport", recording)
+        report = run_scan(ScanConfig("scan", **case))
+        assert report.mismatches == [] and report.internal_errors == []
+        assert len(calls) + len(reports) == report.counts["constructed"]
+        assert reports, "no item was answered from the cache"
+        for rep in reports:
+            direct = goodness(rep.g)
+            assert (rep.is_good, rep.reason, rep.vg) == (direct.is_good, direct.reason,
+                                                         direct.vg)
+            assert rep.radical == direct.radical
+        good = [rep.is_good for rep in reports] + [goodness(g).is_good for g in calls]
+        assert len(report.good_shapes) == sum(good)
+
+    def test_deg9_over_gf9_runs_goodness_117_times(self, monkeypatch):
+        calls = _counting_goodness(monkeypatch)
+        report = run_scan(ScanConfig("scan", **DEG9_GF9_CASE))
+        assert report.counts["constructed"] == 1458
+        assert len(calls) == 117
+
+
+class TestExitCodes:
+    def test_clean_deg9_scan_exits_0(self, tmp_path):
+        report = _cli_report(tmp_path, *DEG9_GF9_ARGV)
+        assert report["mismatches"] == [] and report["counts"]["constructed"] == 1458
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flipped_predictions_exit_1(self, monkeypatch, tmp_path, workers,
+                                        deg9_gf9_verdicts):
+        enumerate_family = cli.enumerate_family
+
+        def flipped(*args, **kwargs):
+            for item in enumerate_family(*args, **kwargs):
+                yield replace(item, predicted_good=not item.predicted_good)
+
+        monkeypatch.setattr(cli, "enumerate_family", flipped)
+        report = _cli_report(tmp_path, *DEG9_GF9_ARGV, "--workers", str(workers), code=1)
+        # 117 goodness runs: most records are answered from the cache
+        assert len(report["mismatches"]) == 1458
+        for rec in report["mismatches"]:
+            assert rec["kind"] == "PredictionMismatch"
+            assert rec["predicted"] != rec["oracle"]
+            assert (rec["oracle"], rec["reason"]) == deg9_gf9_verdicts[
+                _params_key(rec["params"])]
 
 
 class TestModuleEntryPoint:

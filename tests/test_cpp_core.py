@@ -23,6 +23,7 @@ from cppforge.cpp_core import (
     cpp_exponent,
     cpp_normalize,
     goodness,
+    goodness_class,
     is_cpp_monomial,
     is_cpp_poly,
     is_permutation,
@@ -500,6 +501,103 @@ class TestCppNormalize:
                 r2 = {x.val for x, _ in roots_in(rep2.vg, top)}
                 inv_cp = top.inv(cp)
                 assert {top.mul(x, inv_cp) for x in r1} == r2
+
+
+KEY_FIELDS = [(2, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2)]
+
+
+@st.composite
+def poly_and_scalars(draw, zero_at_zero=True):
+    """A polynomial of degree 2..8 over a KEY_FIELDS field, c, c' and a Frobenius power."""
+    base = mk_field(*draw(st.sampled_from(KEY_FIELDS)))
+    deg = draw(st.integers(2, 8))
+    low = draw(st.lists(st.integers(0, base.order - 1), min_size=deg, max_size=deg))
+    if zero_at_zero:
+        low[0] = 0
+    g = Poly(base, low + [draw(st.integers(1, base.order - 1))])
+    unit = st.integers(1, base.order - 1)
+    return g, draw(unit), draw(unit), draw(st.integers(0, base.m - 1))
+
+
+def _frobenius_image(g, i):
+    return Poly(g.ctx, [g.ctx.frobenius(c, i) for c in g.coeffs])
+
+
+def _verdict(g):
+    rep = goodness(g)
+    return rep.is_good, rep.reason
+
+
+def _deg9_polys(base):
+    items = enumerate_family(base, family_params("Deg9", base, None))
+    return [item.g for item in items if isinstance(item, FamilyItem)]
+
+
+class TestGoodnessClass:
+    """goodness_class keys one member of g's class under c·g(c'x) and Frobenius."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly_and_scalars())
+    def test_invariant_under_normalize_and_frobenius(self, case):
+        g, c, cp, i = case
+        key = goodness_class(g)
+        assert goodness_class(cpp_normalize(g, c, cp)) == key
+        assert goodness_class(_frobenius_image(g, i)) == key
+        assert goodness_class(_frobenius_image(cpp_normalize(g, c, cp), i)) == key
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_and_scalars(zero_at_zero=False))
+    def test_invariant_with_a_nonzero_constant(self, case):
+        g, c, cp, i = case
+        h = _frobenius_image(g.scale_arg(cp).scale(c), i)
+        assert goodness_class(h) == goodness_class(g)
+        assert _verdict(h) == _verdict(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KEY_FIELDS), st.integers(2, 5), st.randoms(use_true_random=False))
+    def test_equal_keys_give_equal_verdicts(self, field, deg, rnd):
+        base = mk_field(*field)
+        seen = {}
+        for _ in range(40):
+            g = Poly(base, [0] + [rnd.randrange(base.order) for _ in range(deg - 1)]
+                     + [rnd.randrange(1, base.order)])
+            assert seen.setdefault(goodness_class(g), _verdict(g)) == _verdict(g)
+
+    @pytest.mark.parametrize("field, classes", [((3, 1), 32), ((3, 2), 117)])
+    def test_deg9_keys_count_the_classes(self, field, classes):
+        base = mk_field(*field)
+        polys = _deg9_polys(base)
+        brute = {min(_frobenius_image(cpp_normalize(g, 1, cp, monic=True), i).coeffs
+                     for cp in base.units() for i in range(base.m))
+                 for g in polys}
+        verdicts = {}
+        for g in polys:
+            assert verdicts.setdefault(goodness_class(g), _verdict(g)) == _verdict(g)
+        assert len(verdicts) == len(brute) == classes
+
+    def test_least_scaling_matches_a_search_over_t(self):
+        rng = random.Random(3)
+        for N in (1, 2, 4, 6, 8, 24, 30, 80):
+            for _ in range(200):
+                D = rng.randrange(1, 10)
+                vec = [rng.choice((-1, rng.randrange(N))) for _ in range(D)]
+                want = min(tuple((l - (D - j) * t) % N if l >= 0 else -1
+                                 for j, l in enumerate(vec)) for t in range(N))
+                assert cpp_core._least_scaling(vec, D, N) == want
+
+    def test_exact_key_without_tables(self, monkeypatch):
+        # a fresh GF(9) context has no tables; a bound of 1 keeps it so
+        fresh = gf.Fq(3, 2, F9.modulus)
+        monkeypatch.setattr(cpp_core, "_CLASS_TABLE_BOUND", 1)
+        g = Poly(fresh, [0, 1, 0, 1])
+        assert goodness_class(g) == (3, g.coeffs)
+        assert goodness_class(cpp_normalize(g, 1, 2)) != goodness_class(g)
+        assert fresh._log is None
+
+    def test_log_list_is_not_pickled(self):
+        goodness_class(Poly(F9, [0, 1, 0, 1]))
+        assert F9._log_list is not None
+        assert F9.__getstate__()["_log_list"] is None
 
 
 class TestExceptionalityProbe:
