@@ -329,10 +329,10 @@ def goodness_class(g: Poly) -> tuple:
     for _ in range(ctx.deg_over_prime - 1):
         vec = [l * p % N if l >= 0 else -1 for l in vec]
         best = min(best, _least_scaling(vec, D, N))
-    return (D, best)
+    return (D, tuple(best))
 
 
-def _least_scaling(vec: list, D: int, N: int) -> tuple:
+def _least_scaling(vec: list, D: int, N: int) -> list:
     """Least over t mod N of the vector l_j - (D - j)·t mod N (-1 kept).
 
     The t that reach the least vector so far form a coset t0 + s·Z of a
@@ -355,7 +355,7 @@ def _least_scaling(vec: list, D: int, N: int) -> tuple:
             k0 = rhs // G * pow(a * s // G, -1, N // G) % (N // G)
             t0 = (t0 + s * k0) % N
         s = s * N // G
-    return tuple((l - (D - j) * t0) % N if l >= 0 else -1 for j, l in enumerate(vec))
+    return [(l - (D - j) * t0) % N if l >= 0 else -1 for j, l in enumerate(vec)]
 
 
 # ---------------------------------------------------------------------------

@@ -583,7 +583,7 @@ class TestGoodnessClass:
                 vec = [rng.choice((-1, rng.randrange(N))) for _ in range(D)]
                 want = min(tuple((l - (D - j) * t) % N if l >= 0 else -1
                                  for j, l in enumerate(vec)) for t in range(N))
-                assert cpp_core._least_scaling(vec, D, N) == want
+                assert tuple(cpp_core._least_scaling(vec, D, N)) == want
 
     def test_exact_key_without_tables(self, monkeypatch):
         # a fresh GF(9) context has no tables; a bound of 1 keeps it so
