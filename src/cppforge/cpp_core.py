@@ -12,7 +12,7 @@ single Frobenius orbit; such g are called good.  This module provides:
   radical); the full orbit sizes are computed only on request;
 * the goodness class key: g up to h(x) = c g(c' x) and the Frobenius on its
   coefficients, which keep the verdict, so a scan runs goodness once per
-  class in each chunk of items, that is, per process;
+  class in each chunk of items (one chunk per process);
 * brute-force permutation / complete-permutation oracles over the whole
   field: the units are laid out in rows by the cosets of the units of the
   base field, so each term of b^(-1) x^d + x is a rotation of one row of the
