@@ -387,12 +387,14 @@ def _witnesses_from_csv(text: str) -> list:
         base = mk_field(p, m)
         tower = mk_tower(base, n)
         b = int(rec["b_base_p"])
+        coords = ([list(base.decode(c)) for c in tower.decode(b)] if 0 <= b < tower.order
+                  else f"b_base_p {b} outside [0, {tower.order})")
         out.append({
             "p": p, "m": m, "n": n,
             "modulus": list(base.modulus),
             "extModulus": [list(base.decode(c)) for c in tower.ext_modulus],
             "d": int(rec["d"]),
-            "b": [list(base.decode(c)) for c in tower.decode(b)],
+            "b": coords,
             "family": rec["family"],
             "params": json.loads(rec["params"]) if rec["params"] else {},
             "verified": rec["verified"],

@@ -415,7 +415,14 @@ def witness_from_json(obj: dict) -> CppWitness:
     ext = [list(base.decode(c)) for c in tower.ext_modulus]
     if ext != [list(x) for x in obj["extModulus"]]:
         raise FieldError("tower modulus does not match deterministic reconstruction")
-    b = tower.encode(base.encode(c) for c in obj["b"])
+    coords, n, m, p = obj["b"], tower.n, base.m, base.p
+    if not (isinstance(coords, list) and len(coords) == n
+            and all(isinstance(c, list) and len(c) == m for c in coords)
+            and all(isinstance(x, int) and 0 <= x < p for c in coords for x in c)):
+        raise ValueError(f"witness b {coords!r} is not {n} coordinates of {m} digits in [0, {p})")
+    b = tower.encode(base.encode(c) for c in coords)
+    if b == 0:
+        raise ValueError("witness b is zero")
     return CppWitness(tower, obj["d"], b, obj.get("family", ""),
                       obj.get("params", {}), obj.get("verified", VERIFIED_CRITERION),
                       obj.get("passed"))

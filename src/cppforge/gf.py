@@ -15,10 +15,20 @@ The moduli are the encoding-least monic irreducibles, found by
 `poly.least_monic` with `poly.is_irreducible`; this module has no polynomial
 arithmetic of its own.
 
-Contexts (Fq, Tower) own the arithmetic and are interned, so two independent
-constructions of the same field are the same object.  Small fields get dense
-multiplication rows; any context whose order fits the brute-force bound can
-lazily build numpy exp/log tables for vectorised full-field evaluation.
+Both representations are one polynomial basis over a coefficient context
+(GF(p) for a field, the declared base for a tower), and `Context` holds the
+one implementation of decode, encode, add, neg, the schoolbook product and
+Frobenius.  Their inner loops depend only on whether the coefficient context
+is the prime field: then digits are summed inline and reduced mod p,
+otherwise each step calls the coefficient context's add and mul.  `Fq` adds
+its fast paths in front (prime fields, dense rows, exp/log tables) and
+`Tower` its table path.
+
+Contexts are interned, so two independent constructions of the same field
+are the same object.  Any context whose order fits the brute-force bound can
+lazily build numpy exp/log tables for vectorised full-field evaluation;
+fields of order up to _ROW_BOUND build them at once and derive dense
+multiplication, addition, negation and inverse rows from them.
 """
 
 from __future__ import annotations
@@ -129,13 +139,20 @@ def ord_mod(q: int, s: int) -> int:
 
 
 class Context:
-    """Shared arithmetic interface of field and tower contexts."""
+    """Polynomial-basis arithmetic shared by field and tower contexts.
+
+    An element sum(c_i t^i), i < _k, with c_i in the coefficient context
+    _sub is encoded as sum(enc(c_i) _q^i), _q = _sub.order, and products are
+    reduced by t^_k = sum(_red[i] t^i).  A prime field is its own _sub.
+    """
 
     p: int
     order: int
     deg_over_prime: int
-    zero = 0
-    one = 1
+    _sub: Fq
+    _k: int
+    _q: int
+    _red: tuple
 
     # populated lazily
     _exp: Optional[np.ndarray] = None
@@ -150,7 +167,104 @@ class Context:
     _neg_row: Optional[list] = None
     _inv_row: Optional[list] = None
 
-    # -- basic ops supplied by subclasses: add, neg, mul, _mul_slow ---------
+    def _set_basis(self, sub: Fq, k: int, modulus: tuple) -> None:
+        """Coefficient context, degree and reduction tail of a monic modulus."""
+        self._sub, self._k, self._q = sub, k, sub.order
+        self._red = tuple(sub.neg(c) for c in modulus[:-1])
+
+    # -- polynomial-basis arithmetic; subclasses supply mul ------------------
+
+    def decode(self, a: int) -> tuple:
+        q, out = self._q, []
+        for _ in range(self._k):
+            a, r = divmod(a, q)
+            out.append(r)
+        return tuple(out)
+
+    def encode(self, coeffs: Iterable[int]) -> int:
+        acc, q = 0, self._q
+        for c in reversed(list(coeffs)):
+            acc = acc * q + c
+        return acc
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        q, out, pw = self._q, 0, 1
+        if q == self.p:
+            while a or b:
+                a, ra = divmod(a, q)
+                b, rb = divmod(b, q)
+                out += ((ra + rb) % q) * pw
+                pw *= q
+        else:
+            sadd = self._sub.add
+            while a or b:
+                a, ra = divmod(a, q)
+                b, rb = divmod(b, q)
+                out += sadd(ra, rb) * pw
+                pw *= q
+        return out
+
+    def neg(self, a: int) -> int:
+        if self.p == 2:
+            return a
+        q, out, pw = self._q, 0, 1
+        if q == self.p:
+            while a:
+                a, r = divmod(a, q)
+                out += ((-r) % q) * pw
+                pw *= q
+        else:
+            sneg = self._sub.neg
+            while a:
+                a, r = divmod(a, q)
+                out += sneg(r) * pw
+                pw *= q
+        return out
+
+    def _mul_slow(self, a: int, b: int) -> int:
+        """Schoolbook product of the coefficient vectors, then reduction."""
+        if a == 0 or b == 0:
+            return 0
+        k, red = self._k, self._red
+        da, db = self.decode(a), self.decode(b)
+        prod = [0] * (2 * k - 1)
+        if self._q == self.p:
+            p = self.p
+            for i, ca in enumerate(da):
+                if ca:
+                    for j, cb in enumerate(db):
+                        if cb:
+                            prod[i + j] = (prod[i + j] + ca * cb) % p
+            for i in range(2 * k - 2, k - 1, -1):
+                c = prod[i]
+                if c:
+                    prod[i] = 0
+                    off = i - k
+                    for j, r in enumerate(red):
+                        if r:
+                            prod[off + j] = (prod[off + j] + c * r) % p
+        else:
+            smul, sadd = self._sub.mul, self._sub.add
+            for i, ca in enumerate(da):
+                if ca:
+                    for j, cb in enumerate(db):
+                        if cb:
+                            prod[i + j] = sadd(prod[i + j], smul(ca, cb))
+            for i in range(2 * k - 2, k - 1, -1):
+                c = prod[i]
+                if c:
+                    prod[i] = 0
+                    off = i - k
+                    for j, r in enumerate(red):
+                        if r:
+                            prod[off + j] = sadd(prod[off + j], smul(c, r))
+        return self.encode(prod[:k])
+
+    def frobenius(self, a: int, i: int = 1) -> int:
+        """x -> x^(_q^i): the p-power map of a field, the q-power map of a tower."""
+        return self.pow_(a, self._q ** (i % self._k))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -191,21 +305,6 @@ class Context:
     def units(self) -> range:
         return range(1, self.order)
 
-    # -- flat GF(p) digit view ---------------------------------------------
-
-    def digits_flat(self, a: int) -> tuple:
-        p, k, out = self.p, self.deg_over_prime, []
-        for _ in range(k):
-            a, r = divmod(a, p)
-            out.append(r)
-        return tuple(out)
-
-    def from_digits_flat(self, digits: Iterable[int]) -> int:
-        p, acc = self.p, 0
-        for d in reversed(list(digits)):
-            acc = acc * p + d % p
-        return acc
-
     # -- deterministic generator and numpy tables ---------------------------
 
     def primitive_element(self) -> int:
@@ -244,7 +343,9 @@ class Context:
         # multiplication by gamma is GF(p)-linear on the flat digit vector
         mat = np.zeros((k, k), dtype=np.int64)
         for j in range(k):
-            mat[:, j] = self.digits_flat(self.mul(g, p ** j))
+            v = self.mul(g, p ** j)
+            for i in range(k):
+                v, mat[i, j] = divmod(v, p)
         powers = (p ** np.arange(k)).astype(np.int64)
         chunk = min(m, 4096)
         cols = np.zeros((k, chunk), dtype=np.int64)
@@ -303,12 +404,6 @@ class Context:
             self._digmat = dig
         return self._digmat
 
-    def __getstate__(self):  # keep contexts picklable without numpy caches
-        state = self.__dict__.copy()
-        for key in ("_exp", "_log", "_log_list", "_digmat", "_rows"):
-            state[key] = None
-        return state
-
 
 def _mat_pow_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
     acc = np.eye(mat.shape[0], dtype=np.int64)
@@ -330,8 +425,7 @@ class Fq(Context):
         self.deg_over_prime = m
         self.modulus = modulus
         self.order = p ** m
-        # tail of the reduction rule x^m = -(modulus minus leading term)
-        self._red = tuple((-c) % p for c in modulus[:-1])
+        self._set_basis(self if m == 1 else mk_field(p, 1), m, modulus)
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -339,15 +433,7 @@ class Fq(Context):
     def describe(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
-    # -- digit helpers -------------------------------------------------------
-
-    def decode(self, a: int) -> tuple:
-        return self.digits_flat(a)
-
-    def encode(self, coeffs: Iterable[int]) -> int:
-        return self.from_digits_flat(coeffs)
-
-    # -- arithmetic ----------------------------------------------------------
+    # -- fast paths in front of the polynomial-basis arithmetic --------------
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -357,13 +443,7 @@ class Fq(Context):
         rows = self._add_rows
         if rows is not None:
             return rows[a][b]
-        p, out, pw = self.p, 0, 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * pw
-            pw *= p
-        return out
+        return Context.add(self, a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -373,12 +453,7 @@ class Fq(Context):
         row = self._neg_row
         if row is not None:
             return row[a]
-        p, out, pw = self.p, 0, 1
-        while a:
-            a, r = divmod(a, p)
-            out += ((-r) % p) * pw
-            pw *= p
-        return out
+        return Context.neg(self, a)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -393,43 +468,17 @@ class Fq(Context):
             return int(self._exp[(int(self._log[a]) + int(self._log[b])) % m])
         return self._mul_slow(a, b)
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        p, m = self.p, self.m
-        da, db = self.decode(a), self.decode(b)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    if cb:
-                        prod[i + j] = (prod[i + j] + ca * cb) % p
-        red = self._red
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                base = i - m
-                for j, r in enumerate(red):
-                    if r:
-                        prod[base + j] = (prod[base + j] + c * r) % p
-        return self.encode(prod[:m])
-
     def build_rows(self) -> None:
         """Dense op rows for small fields; a no-op above the row bound.
 
-        Products come from exp/log tables local to this call (the context's
-        own tables stay unbuilt), inverses as exp[-k] for exp[k], sums and
-        negatives digit by digit; the rows are kept as lists because indexing
-        a list is the fastest lookup.
+        Products and inverses (exp[-k] for exp[k]) come from the exp/log
+        tables of ensure_tables, sums and negatives digit by digit; the rows
+        are kept as lists because indexing a list is the fastest lookup.
         """
         if self._mul_rows is not None or self.order > _ROW_BOUND:
             return
-        n, p = self.order, self.p
-        g = self.primitive_element()
-        exp = self._exp_by_doubling(g, n - 1) if p == 2 else self._exp_by_matrix(g, n - 1)
-        log = np.zeros(n, dtype=np.int64)
-        log[exp] = np.arange(n - 1)
+        self.ensure_tables()
+        n, p, exp, log = self.order, self.p, self._exp, self._log
         mul = np.zeros((n, n), dtype=np.int64)
         mul[1:, 1:] = np.concatenate([exp, exp])[log[1:, None] + log[None, 1:]]
         inv = np.zeros(n, dtype=np.int64)
@@ -448,17 +497,6 @@ class Fq(Context):
         self._mul_rows = mul.tolist()
         self._inv_row = inv.tolist()
 
-    def frobenius(self, a: int, i: int = 1) -> int:
-        return self.pow_(a, self.p ** (i % self.m if self.m else 1))
-
-    def __getstate__(self):
-        state = super().__getstate__()
-        state["_mul_rows"] = None
-        state["_add_rows"] = None
-        state["_neg_row"] = None
-        state["_inv_row"] = None
-        return state
-
     def __reduce__(self):
         return (mk_field, (self.p, self.m))
 
@@ -474,7 +512,7 @@ class Tower(Context):
         self.q = base.order
         self.deg_over_prime = base.m * n
         self.order = base.order ** n
-        self._red = tuple(base.neg(c) for c in ext_modulus[:-1])
+        self._set_basis(base, n, ext_modulus)
 
     def __repr__(self):
         return f"GF(({self.base.p}^{self.base.m})^{self.n})"
@@ -485,40 +523,6 @@ class Tower(Context):
         d["extModulus"] = [list(self.base.decode(c)) for c in self.ext_modulus]
         return d
 
-    def decode(self, a: int) -> tuple:
-        q, out = self.q, []
-        for _ in range(self.n):
-            a, r = divmod(a, q)
-            out.append(r)
-        return tuple(out)
-
-    def encode(self, coeffs: Iterable[int]) -> int:
-        acc = 0
-        for c in reversed(list(coeffs)):
-            acc = acc * self.q + c
-        return acc
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        q, badd, out, pw = self.q, self.base.add, 0, 1
-        while a or b:
-            a, ra = divmod(a, q)
-            b, rb = divmod(b, q)
-            out += badd(ra, rb) * pw
-            pw *= q
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        q, bneg, out, pw = self.q, self.base.neg, 0, 1
-        while a:
-            a, r = divmod(a, q)
-            out += bneg(r) * pw
-            pw *= q
-        return out
-
     def mul(self, a: int, b: int) -> int:
         if self._log is not None:
             if a == 0 or b == 0:
@@ -526,34 +530,6 @@ class Tower(Context):
             m = self.order - 1
             return int(self._exp[(int(self._log[a]) + int(self._log[b])) % m])
         return self._mul_slow(a, b)
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        n = self.n
-        base = self.base
-        bmul, badd = base.mul, base.add
-        da, db = self.decode(a), self.decode(b)
-        prod = [0] * (2 * n - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    if cb:
-                        prod[i + j] = badd(prod[i + j], bmul(ca, cb))
-        red = self._red
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                off = i - n
-                for j, r in enumerate(red):
-                    if r:
-                        prod[off + j] = badd(prod[off + j], bmul(c, r))
-        return self.encode(prod[:n])
-
-    def frobenius(self, a: int, i: int = 1) -> int:
-        """The q-power Frobenius x -> x^(q^i) relative to the declared base."""
-        return self.pow_(a, self.q ** (i % self.n))
 
     def orbit(self, a: int) -> set:
         """The q-power conjugates a, a^q, a^(q^2), ... of a over the base."""
@@ -645,8 +621,6 @@ class FqElem:
     # coefficient view: flat over GF(p) for fields, base coefficients for towers
     @property
     def coeffs(self):
-        if isinstance(self.ctx, Tower):
-            return tuple(self.ctx.decode(self.val))
         return self.ctx.decode(self.val)
 
     def to_json(self):

@@ -944,14 +944,6 @@ def least_monic(ctx: Context, deg: int, accept) -> Poly:
 # roots
 
 
-def _linear_split(ctx: Context, w: list, rng_state: list) -> list:
-    """Roots of a monic product of distinct linear factors."""
-    if len(w) == 2:
-        return [ctx.neg(w[0])]
-    return [r for piece in _equal_degree_split(ctx, w, 1, rng_state)
-            for r in (ctx.neg(piece[0]),)]
-
-
 def roots_in(f: Poly, ctx2: Optional[Context] = None) -> list:
     """All roots of f lying in ctx2 (default: its own context), with multiplicity.
 
@@ -970,7 +962,7 @@ def roots_in(f: Poly, ctx2: Optional[Context] = None) -> list:
     if len(w) < 2:
         return []
     rng_state = [_ctx_seed(ctx2, work)]
-    roots = _linear_split(ctx2, w, rng_state)
+    roots = [ctx2.neg(piece[0]) for piece in _equal_degree_split(ctx2, w, 1, rng_state)]
     out = []
     for r in sorted(roots):
         mult = 0

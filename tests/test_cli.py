@@ -1,5 +1,7 @@
 """Scan orchestration: which items reach witness extraction."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -172,6 +174,42 @@ class TestWitnessFileRoundTrip:
         report = json.loads(verified.read_text())
         assert report["counts"]["verifiedCpp"] == 12
         assert report["mismatches"] == []
+
+
+class TestMalformedWitness:
+    """b must be n coordinates of m digits in [0, p), not all zero, and in CSV
+    b_base_p must lie in [0, order); a record that is not is a mismatch, and
+    the valid record beside it is still checked."""
+
+    # A1 over GF(3^4), m = 1 and n = 4, with e = 1: four witnesses
+    SCAN = ["scan", "--p", "3", "--m", "1", "--n", "4", "--family", "A1",
+            "--range", '{"e": [1]}']
+
+    @pytest.mark.parametrize("fmt, spoil", [
+        ("json", lambda b: [[x + 3 for x in c] for c in b]),
+        ("json", lambda b: b + [[0]]),
+        ("json", lambda b: [[0] for _ in b]),
+        ("csv", lambda b: str(int(b) + 81)),
+    ], ids=["digits-raised-by-p", "extra-coordinate", "zero", "csv-past-order"])
+    def test_reported_next_to_a_valid_record(self, tmp_path, fmt, spoil):
+        path = tmp_path / f"witnesses.{fmt}"
+        assert main(self.SCAN + ["--format", fmt, "--out", str(path)]) == 0
+        if fmt == "json":
+            good = json.loads(path.read_text())["witnesses"][0]
+            path.write_text(json.dumps([dict(good, b=spoil(good["b"])), good]))
+        else:
+            header, good = list(csv.reader(path.read_text().splitlines()[1:]))[:2]
+            bad = list(good)
+            i = header.index("b_base_p")
+            bad[i] = spoil(good[i])
+            buf = io.StringIO()
+            csv.writer(buf).writerows([header, bad, good])
+            path.write_text(buf.getvalue())
+        out = tmp_path / "verify.json"
+        assert main(["verify", str(path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [m["kind"] for m in report["mismatches"]] == ["ParseOrFieldMismatch"]
+        assert report["counts"]["verifiedCpp"] == 1
 
 
 class TestDistinctCpp:

@@ -179,6 +179,25 @@ class TestBuildRows:
         self._check(p, m, [(rnd.randrange(n), rnd.randrange(n)) for _ in range(2000)])
 
 
+class TestFieldIsTowerOverPrime:
+    """GF(p^m) as a field and as a tower over GF(p): one modulus, one arithmetic."""
+
+    @pytest.mark.parametrize("p, m", [(2, 6), (3, 4), (5, 3)])
+    def test_same_modulus_and_operations(self, p, m):
+        F, T = mk_field(p, m), mk_tower(mk_field(p, 1), m)
+        assert F.modulus == T.ext_modulus
+        rnd = random.Random(p ** m)
+        for _ in range(500):
+            a, b = rnd.randrange(F.order), rnd.randrange(F.order)
+            assert F.add(a, b) == T.add(a, b)
+            assert F.neg(a) == T.neg(a)
+            assert F.mul(a, b) == T.mul(a, b)
+            assert F._mul_slow(a, b) == T._mul_slow(a, b)
+            assert [F.frobenius(a, i) for i in range(m)] == [T.frobenius(a, i) for i in range(m)]
+            assert F.decode(a) == T.decode(a)
+            assert F.encode(F.decode(a)) == T.encode(T.decode(a)) == a
+
+
 class TestArith:
     def test_add_f5(self):
         assert (elem(F5, 3) + elem(F5, 4)).val == 2
@@ -211,7 +230,10 @@ class TestArith:
 
     def test_tables_agree_with_slow_path(self):
         rng = random.Random(2)
-        for ctx in (F9, F25, mk_tower(F4, 2), mk_field(2, 10), mk_tower(F8, 4)):
+        # the towers over GF(3), GF(5) and GF(9) check both inner loops of
+        # _mul_slow in odd characteristic
+        for ctx in (F9, F25, mk_tower(F4, 2), mk_field(2, 10), mk_tower(F8, 4),
+                    mk_tower(F3, 5), mk_tower(F5, 3), mk_tower(F9, 3)):
             ctx.ensure_tables()
             for _ in range(100):
                 a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
