@@ -408,6 +408,14 @@ class CppWitness:
 
 def witness_from_json(obj: dict) -> CppWitness:
     from .gf import mk_field
+    for key in ("p", "m", "n", "d"):
+        if type(obj[key]) is not int:
+            raise ValueError(f"witness {key} {obj[key]!r} is not an int")
+    mod, ext = obj["modulus"], obj["extModulus"]
+    if not (isinstance(mod, list) and all(type(c) is int for c in mod)
+            and isinstance(ext, list) and all(isinstance(c, list) for c in ext)
+            and all(type(x) is int for c in ext for x in c)):
+        raise ValueError("witness moduli are not lists of ints")
     base = mk_field(obj["p"], obj["m"])
     if list(base.modulus) != list(obj["modulus"]):
         raise FieldError("field modulus does not match deterministic reconstruction")

@@ -49,11 +49,11 @@ from .gf import (
 from .poly import (
     Poly,
     dickson_poly,
+    has_root_in_extension,
     has_root_in_units,
     is_irreducible,
     least_monic,
     linearized_associate,
-    orbit_parts,
     orbit_split,
     pow_mod,
     roots_in,
@@ -601,10 +601,10 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
     if case == "ii":
         good = is_irreducible(Poly(base, [a8, 0, a6, 0, 0, 0, 0, 0, 1]))
     elif case == "iii":
-        # w lies over GF(q), so it has a root in GF(q^4) exactly when it has
-        # an irreducible factor of degree 1, 2 or 4; the split stops there
+        # good asks that w have no root in GF(q^4): the elements of GF(q^4)
+        # are the roots of x^(q^4) - x, so that is gcd(w, x^(q^4) - x) = 1
         w = Poly(base, [base.mul(2, a4), 0, base.mul(2, a3), 0, 0, 0, 0, 0, 1])
-        good = not any(4 % d == 0 for d, _ in orbit_parts(squarefree_part(w)))
+        good = not has_root_in_extension(w, 4)
     elif case == "iv":
         # good asks for one orbit of roots, so the radical of v_F must be
         # irreducible; v_F itself can be a power, e.g. (x^2 + A2)^4 when

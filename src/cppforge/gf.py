@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -166,6 +166,9 @@ class Context:
     _add_rows: Optional[list] = None
     _neg_row: Optional[list] = None
     _inv_row: Optional[list] = None
+    # the list-path kernel of poly._axpy, built at its first use; a pickled
+    # context is rebuilt by __reduce__ and builds its own
+    _axpy: Optional[Callable] = None
 
     def _set_basis(self, sub: Fq, k: int, modulus: tuple) -> None:
         """Coefficient context, degree and reduction tail of a monic modulus."""

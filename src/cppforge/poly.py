@@ -9,21 +9,30 @@ from the distinct-degree split alone (`orbit_parts` yields it part by part,
 so a caller can stop at the first), a Rabin-style irreducibility test that
 is independent of the factorizer, root extraction in extensions (all roots,
 or one root of a polynomial known to split, by descending into the smaller
-factor of each equal-degree split), Dickson polynomials, linearized
+factor of each equal-degree split), root tests (on the units, and in
+GF(q^k) by one gcd with x^(q^k) - x), Dickson polynomials, linearized
 associates, and characteristic polynomials of tower elements.  `least_monic`
 walks monic candidates in encoding order; with `is_irreducible` as its test
 it finds the field and tower moduli of `gf`, which imports both inside its
 constructors.
 
+Roots in a field of order at most gf._ROW_BOUND come from Horner's rule at
+every element over its dense op rows (`_row_zeros`), which is exact and
+cheaper than any gcd at that size; `roots_in` on towers and larger fields
+takes the squarefree part, its gcd with x^q - x and the equal-degree split.
+
 Polynomials below `_ENGINE_MIN` terms, and all polynomials over towers, stay
 on the list path.  Its products and remainders step with one kernel,
-out[off + j] += c·b[j]; over fields of order at most gf._ROW_BOUND that
-kernel indexes the field's dense op rows instead of calling its methods.
-Frobenius powers on this path come from the Frobenius matrix of the modulus
-f, the rows x^(q·i) mod f, built once per call: over a context of order q
-every coefficient satisfies c^q = c, so h^q mod f = sum h_i·(x^(q·i) mod f)
-is one matrix product.  The distinct-degree split and the Rabin test take
-each step that way.
+out[off + j] += c·b[j], built once per context and kept on it; over fields
+of order at most gf._ROW_BOUND that kernel indexes the field's dense op rows
+instead of calling its methods.  A remainder by b adds multiples of the
+negated monic tail of b (`_tail`) and builds no quotient, so pow_mod, the
+Frobenius rows and each Euclid step compute that tail once for their
+modulus.  Frobenius powers on this path come from the Frobenius matrix of
+the modulus f, the rows x^(q·i) mod f, built once per call: over a context
+of order q every coefficient satisfies c^q = c, so h^q mod f = sum
+h_i·(x^(q·i) mod f) is one matrix product.  The distinct-degree split, the
+Rabin test and the root test in GF(q^k) take each step that way.
 
 Large-degree work over plain fields (degrees in the hundreds appear in the
 scanners) is routed through a numpy backend that represents a polynomial as
@@ -105,25 +114,30 @@ def _axpy(ctx: Context):
 
     Fields of order at most gf._ROW_BOUND carry dense op rows, and then each
     step is two list lookups, arows[x][mrow[y]] with mrow = mul_rows[c];
-    towers and larger fields call their add and mul methods.
+    towers and larger fields call their add and mul methods.  The kernel is
+    built once per context and kept on it.
     """
+    kernel = ctx._axpy
+    if kernel is not None:
+        return kernel
     mrows = ctx._mul_rows
     if mrows is None:
         add, mul = ctx.add, ctx.mul
 
-        def axpy(out: list, off: int, c: int, b: list) -> None:
+        def kernel(out: list, off: int, c: int, b: list) -> None:
             for k, y in enumerate(b, off):
                 if y:
                     out[k] = add(out[k], mul(c, y))
     else:
         arows = ctx._add_rows
 
-        def axpy(out: list, off: int, c: int, b: list) -> None:
+        def kernel(out: list, off: int, c: int, b: list) -> None:
             mrow = mrows[c]
             for k, y in enumerate(b, off):
                 if y:
                     out[k] = arows[out[k]][mrow[y]]
-    return axpy
+    ctx._axpy = kernel
+    return kernel
 
 
 def _trim(c: list) -> list:
@@ -172,23 +186,31 @@ def _pmul(ctx: Context, a: list, b: list) -> list:
     return _trim(out)
 
 
-def _reduce(ctx: Context, axpy, r: list, b: list) -> list:
-    """Reduce r mod b in place on the list path; return the quotient."""
+def _tail(ctx: Context, axpy, b: list) -> list:
+    """The negated monic tail -b[:db]/lc(b) of a divisor b of degree db.
+
+    Adding c·x^(k-db)·tail to a polynomial removes its term c·x^k, so
+    remainders by a fixed b need the tail once (`_rem`).
+    """
     db = len(b) - 1
-    inv_lead = 1 if b[-1] == 1 else ctx.inv(b[-1])
-    # adding c·x^(k-db)·tail to r removes its term c·x^k
     tail = [0] * db
-    axpy(tail, 0, ctx.neg(inv_lead), b[:db])
-    mul = ctx.mul
-    q = [0] * max(0, len(r) - db)
+    axpy(tail, 0, ctx.neg(1 if b[-1] == 1 else ctx.inv(b[-1])), b[:db])
+    return tail
+
+
+def _rem(axpy, r: list, tail: list) -> list:
+    """The remainder of r by the divisor b whose `_tail` is tail; r is overwritten.
+
+    Step k, from the top, adds r[k]·x^(k-db)·tail to r and writes only
+    below k, so afterwards r[db:] still holds each step's r[k]: lc(b) times
+    the quotient.
+    """
+    db = len(tail)
     for k in range(len(r) - 1, db - 1, -1):
         c = r[k]
         if c:
-            q[k - db] = c if inv_lead == 1 else mul(c, inv_lead)
             axpy(r, k - db, c, tail)
-    del r[db:]
-    _trim(r)
-    return _trim(q)
+    return _trim(r[:db])
 
 
 def _pdivmod(ctx: Context, a: list, b: list) -> tuple:
@@ -200,12 +222,17 @@ def _pdivmod(ctx: Context, a: list, b: list) -> tuple:
         eng = _engine(ctx)
         q, r = eng.divmod_(eng.to_arr(a), eng.to_arr(b))
         return eng.from_arr(q), eng.from_arr(r)
-    r = list(a)
-    return _reduce(ctx, _axpy(ctx), r, b), r
+    axpy, r = _axpy(ctx), list(a)
+    rem = _rem(axpy, r, _tail(ctx, axpy, b))
+    q = r[len(b) - 1:]
+    return (_trim(q) if b[-1] == 1 else _pscale(ctx, q, ctx.inv(b[-1]))), rem
 
 
 def _pmod(ctx: Context, a: list, b: list) -> list:
-    return _pdivmod(ctx, a, b)[1]
+    if not b or len(a) < len(b) or _on_engine(ctx, len(a), 1):
+        return _pdivmod(ctx, a, b)[1]
+    axpy = _axpy(ctx)
+    return _rem(axpy, list(a), _tail(ctx, axpy, b))
 
 
 def _pmonic(ctx: Context, a: list) -> list:
@@ -221,8 +248,7 @@ def _pgcd(ctx: Context, a: list, b: list) -> list:
     a, b = _trim(list(a)), _trim(list(b))
     axpy = _axpy(ctx)
     while b:
-        _reduce(ctx, axpy, a, b)
-        a, b = b, a
+        a, b = b, _rem(axpy, a, _tail(ctx, axpy, b))
     return _pmonic(ctx, a)
 
 
@@ -232,12 +258,15 @@ def _ppow_mod(ctx: Context, a: list, e: int, mod: list) -> list:
     if _on_engine(ctx, len(mod), len(mod)):
         eng = _engine(ctx)
         return eng.from_arr(eng.pow_mod(eng.to_arr(a), e, eng.to_arr(mod)))
-    acc, base = [1], _pmod(ctx, list(a), mod)
+    axpy = _axpy(ctx)
+    tail = _tail(ctx, axpy, mod)
+    acc, base = [1], _rem(axpy, list(a), tail)
     while e:
         if e & 1:
-            acc = _pmod(ctx, _pmul(ctx, acc, base), mod)
-        base = _pmod(ctx, _pmul(ctx, base, base), mod)
+            acc = _rem(axpy, _pmul(ctx, acc, base), tail)
         e >>= 1
+        if e:
+            base = _rem(axpy, _pmul(ctx, base, base), tail)
     return acc
 
 
@@ -451,8 +480,9 @@ class _DenseEngine:
         while e:
             if e & 1:
                 acc = reduce(self.mul(acc, base))
-            base = reduce(self.mul(base, base))
             e >>= 1
+            if e:
+                base = reduce(self.mul(base, base))
         return acc
 
 
@@ -741,19 +771,22 @@ def _frobenius_rows(ctx: Context, f: list, rows: Optional[list] = None) -> Optio
     h ↦ h^q mod f is GF(q)-linear: (sum h_i x^i)^q = sum h_i x^(q·i), and
     h^q mod f = sum h_i·rows[i] (Berlekamp's Q-matrix; von zur Gathen &
     Gerhard, Modern Computer Algebra, §14.8).  Building it costs one pow_mod
-    for x^q mod f and deg f - 2 products by it.  Given the rows of a multiple
-    of f, it reduces them mod f instead.  Returns None when f goes to the
-    numpy backend, whose Frobenius steps stay pow_mod.
+    for x^q mod f and deg f - 2 products by it, each reduced by the tail of
+    f.  Given the rows of a multiple of f, it reduces them mod f instead.
+    Returns None when f goes to the numpy backend, whose Frobenius steps stay
+    pow_mod.
     """
     if _on_engine(ctx, len(f), len(f)):
         return None
     n = len(f) - 1
+    axpy = _axpy(ctx)
+    tail = _tail(ctx, axpy, f)
     if rows is not None:
-        return [_pmod(ctx, r, f) for r in rows[:n]]
+        return [_rem(axpy, list(r), tail) for r in rows[:n]]
     xq = _ppow_mod(ctx, [0, 1], ctx.order, f)
     rows = [[1]]
     while len(rows) < n:
-        rows.append(_pmod(ctx, _pmul(ctx, xq, rows[-1]), f))
+        rows.append(_rem(axpy, _pmul(ctx, xq, rows[-1]), tail))
     return rows
 
 
@@ -944,10 +977,45 @@ def least_monic(ctx: Context, deg: int, accept) -> Poly:
 # roots
 
 
+def _row_zeros(ctx: Context, f: list, start: int = 0):
+    """The elements v >= start of a field with op rows where f vanishes, lazily.
+
+    Horner's rule at every element, two row lookups a step: over a field of
+    order at most gf._ROW_BOUND that is exact and cheaper than any gcd.
+    """
+    mrows, arows = ctx._mul_rows, ctx._add_rows
+    rev = f[::-1]
+    for v in range(start, ctx.order):
+        mv, acc = mrows[v], 0
+        for c in rev:
+            acc = arows[mv[acc]][c]
+        if not acc:
+            yield v
+
+
+def _split_roots(ctx: Context, f: list) -> list:
+    """The distinct roots in ctx of a monic f, sorted, by splitting.
+
+    The radical's gcd with x^|ctx| - x is the product of the distinct linear
+    factors, and the equal-degree split (seeded from ctx and f) separates
+    them.
+    """
+    rad = list(squarefree_part(Poly(ctx, f, trusted=True)).coeffs)
+    h = _ppow_mod(ctx, [0, 1], ctx.order, rad)
+    w = _pgcd(ctx, rad, _psub_x(ctx, h))
+    if len(w) < 2:
+        return []
+    rng_state = [_ctx_seed(ctx, f)]
+    return sorted(ctx.neg(piece[0]) for piece in _equal_degree_split(ctx, w, 1, rng_state))
+
+
 def roots_in(f: Poly, ctx2: Optional[Context] = None) -> list:
     """All roots of f lying in ctx2 (default: its own context), with multiplicity.
 
-    Returns a sorted list of (FqElem, multiplicity).
+    Returns a sorted list of (FqElem, multiplicity).  The roots come from
+    evaluation at every element when ctx2 has op rows (`_row_zeros`), and
+    from `_split_roots` on towers and larger fields; each multiplicity is
+    found by synthetic division.
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
@@ -956,15 +1024,12 @@ def roots_in(f: Poly, ctx2: Optional[Context] = None) -> list:
     if lifted.degree < 1:
         return []
     work = _pmonic(ctx2, list(lifted.coeffs))
-    rad = list(squarefree_part(Poly(ctx2, work, trusted=True)).coeffs)
-    h = _ppow_mod(ctx2, [0, 1], ctx2.order, rad)
-    w = _pgcd(ctx2, rad, _psub_x(ctx2, h))
-    if len(w) < 2:
-        return []
-    rng_state = [_ctx_seed(ctx2, work)]
-    roots = [ctx2.neg(piece[0]) for piece in _equal_degree_split(ctx2, w, 1, rng_state)]
+    if ctx2._mul_rows is not None:
+        roots = list(_row_zeros(ctx2, work))
+    else:
+        roots = _split_roots(ctx2, work)
     out = []
-    for r in sorted(roots):
+    for r in roots:
         mult = 0
         cur = work
         while True:
@@ -999,8 +1064,28 @@ def one_root(f: Poly, ctx2: Context) -> FqElem:
 
 def has_root_in_units(f: Poly) -> bool:
     """Whether f vanishes somewhere on the unit group of its own context."""
+    if f.ctx._mul_rows is not None:
+        return next(_row_zeros(f.ctx, list(f.coeffs), 1), None) is not None
     ev = f.eval_at
     return any(ev(c) == 0 for c in f.ctx.units())
+
+
+def has_root_in_extension(f: Poly, k: int) -> bool:
+    """Whether f over GF(q) has a root in GF(q^k), k >= 1.
+
+    The elements of GF(q^k) are the roots of x^(q^k) - x, so this holds
+    exactly when gcd(f, x^(q^k) - x) != 1 (von zur Gathen & Gerhard, Modern
+    Computer Algebra, §14.2).  x^(q^k) mod f takes k products by the
+    Frobenius matrix of f; f need not be squarefree.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("zero polynomial")
+    if f.degree < 2:
+        return f.degree == 1
+    ctx = f.ctx
+    work = _pmonic(ctx, list(f.coeffs))
+    h = _frobenius(ctx, _frobenius_rows(ctx, work), [0, 1], work, k)
+    return len(_pgcd(ctx, work, _psub_x(ctx, h))) > 1
 
 
 # ---------------------------------------------------------------------------

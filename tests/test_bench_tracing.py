@@ -36,3 +36,24 @@ def test_install_traces_a_scan_and_uninstall_restores(monkeypatch, tmp_path):
             "cpp_core.witnesses_from_good", "families.enumerate"} <= names
     for owner, old in zip(MODULES + CLASSES, before):
         assert all(vars(owner)[name] is value for name, value in old.items()), owner
+
+
+def test_deg9_scan_reaches_the_traced_root_and_classifier_calls(monkeypatch, tmp_path):
+    # bench/checks.py TracedSelfTimes.test_deg9_scan asserts these counts on
+    # the same scan; a rewrite that routes around them fails here first
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        uninstall = tracing.install(tracer)
+        try:
+            assert cli.main(["scan", "--family", "Deg9", "--p", "3", "--m", "1",
+                             "--out", str(tmp_path / "scan.json")]) == 0
+        finally:
+            uninstall()
+        metrics, _ = tracing.layer_metrics(dict(tracer.result(1.0), untraced_wall_s=1.0))
+    finally:
+        sys.modules.pop("tracing", None)
+    # one classify_deg9 per shape, one roots_in per case-iii shape (3·2·3)
+    assert metrics["families.classify_deg9.calls"][0] == 54
+    assert metrics["poly.roots_in.calls"][0] == 18

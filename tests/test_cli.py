@@ -211,6 +211,23 @@ class TestMalformedWitness:
         assert [m["kind"] for m in report["mismatches"]] == ["ParseOrFieldMismatch"]
         assert report["counts"]["verifiedCpp"] == 1
 
+    @pytest.mark.parametrize("key, spoil", [
+        ("p", str), ("n", float), ("d", str), ("m", lambda m: m == 1),
+        ("modulus", lambda mod: [str(c) for c in mod]),
+        ("extModulus", lambda ext: [float(x) for c in ext for x in c]),
+    ], ids=["string-p", "float-n", "string-d", "bool-m", "string-modulus",
+            "flat-float-ext-modulus"])
+    def test_field_of_wrong_json_type(self, tmp_path, key, spoil):
+        path = tmp_path / "witnesses.json"
+        assert main(self.SCAN + ["--out", str(path)]) == 0
+        good = json.loads(path.read_text())["witnesses"][0]
+        path.write_text(json.dumps([dict(good, **{key: spoil(good[key])}), good]))
+        out = tmp_path / "verify.json"
+        assert main(["verify", str(path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [m["kind"] for m in report["mismatches"]] == ["ParseOrFieldMismatch"]
+        assert report["counts"]["verifiedCpp"] == 1
+
 
 class TestDistinctCpp:
     def test_items_sharing_b_count_once(self, tmp_path):

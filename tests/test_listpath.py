@@ -1,8 +1,9 @@
 """The list path of `poly` (operands below `_ENGINE_MIN` terms) against references.
 
-* `_pmul` and `_pdivmod` step with one kernel that indexes the dense op rows of
-  small fields.  The reference is a schoolbook product from `_mul_slow`,
-  computed on a copy of the field that has no rows.
+* `_pmul`, `_pdivmod` and `_pmod` step with one kernel that indexes the dense
+  op rows of small fields.  The reference is a schoolbook product from
+  `_mul_slow`, computed on a copy of the field that has no rows.  `_ppow_mod`
+  is checked against repeated products and remainders.
 * `orbit_parts` and `is_irreducible` take their Frobenius powers
   from the matrix of `_frobenius_rows`.  The references are a copy of the
   former pow_mod loop and, for irreducibility, sympy's `gf_irreducible_p`
@@ -12,6 +13,8 @@
 Every check runs over fields with rows (GF(2), GF(5), GF(9)), fields without
 (GF(3^6), GF(2^10)) and a tower (GF(4^3)).
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +103,35 @@ class TestRowKernels:
         q, r = _pdivmod(ctx, a, b)
         assert len(r) < len(b)
         assert ref_add(ctx, ref_mul(ctx, q, b), r) == a
+        assert _pmod(ctx, a, b) == r
+
+
+@pytest.mark.parametrize("ctx", [ROWS[2], NO_ROWS[0], TOWER[0]], ids=repr)
+def test_kernel_built_once_and_not_pickled(ctx):
+    _pmul(ctx, [1, 1], [1, 1])
+    kernel = ctx._axpy
+    assert kernel is not None
+    _pdivmod(ctx, [1, 0, 1], [1, 1])
+    assert ctx._axpy is kernel
+    data = pickle.dumps(ctx)        # rebuilt from its parameters, kernel and all
+    assert len(data) < 100
+    assert pickle.loads(data) is ctx
+
+
+POW_CONTEXTS = [mk_field(3, 2), mk_tower(mk_field(3, 2), 2)]
+
+
+@pytest.mark.parametrize("ctx", POW_CONTEXTS, ids=[repr(c) for c in POW_CONTEXTS])
+@bounded
+@given(data=st.data())
+def test_pow_mod_matches_repeated_products(ctx, data):
+    # every e in 0..40: e = 0, and exponents whose last step squares nothing
+    mod = data.draw(polys(ctx, 2, 8, monic=data.draw(st.booleans())))
+    a = data.draw(polys(ctx, 1, 12))
+    acc = _pmod(ctx, [1], mod)
+    for e in range(41):
+        assert _ppow_mod(ctx, a, e, mod) == acc, e
+        acc = _pmod(ctx, _pmul(ctx, acc, a), mod)
 
 
 # ---------------------------------------------------------------------------
