@@ -408,6 +408,8 @@ class CppWitness:
 
 def witness_from_json(obj: dict) -> CppWitness:
     from .gf import mk_field
+    if not isinstance(obj, dict):
+        raise ValueError(f"witness record {obj!r} is not an object")
     for key in ("p", "m", "n", "d"):
         if type(obj[key]) is not int:
             raise ValueError(f"witness {key} {obj[key]!r} is not an int")

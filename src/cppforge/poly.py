@@ -1046,11 +1046,11 @@ def one_root(f: Poly, ctx2: Context) -> FqElem:
     """One root in ctx2 of an f that splits there into distinct linear factors.
 
     Each step splits the remaining factor once (`_split_once`, d = 1) and
-    keeps the smaller piece, until it is linear.  Unlike `roots_in` there is
-    no gcd with x^|ctx2| - x: the caller vouches that f splits, for instance
-    an irreducible f over GF(q) of degree dividing n in the tower GF(q^n);
-    for any other f the descent need not end.  The seed is that of
-    `roots_in`, so repeated calls give the same root.
+    keeps the smaller piece, until it is linear.  Unlike `_split_roots`
+    there is no gcd with x^|ctx2| - x: the caller vouches that f splits, for
+    instance an irreducible f over GF(q) of degree dividing n in the tower
+    GF(q^n); for any other f the descent need not end.  The seed is that of
+    `_split_roots`, so repeated calls give the same root.
     """
     if f.degree < 1:
         raise ConstantPolynomial("need degree >= 1")

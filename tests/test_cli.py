@@ -211,17 +211,21 @@ class TestMalformedWitness:
         assert [m["kind"] for m in report["mismatches"]] == ["ParseOrFieldMismatch"]
         assert report["counts"]["verifiedCpp"] == 1
 
-    @pytest.mark.parametrize("key, spoil", [
-        ("p", str), ("n", float), ("d", str), ("m", lambda m: m == 1),
-        ("modulus", lambda mod: [str(c) for c in mod]),
-        ("extModulus", lambda ext: [float(x) for c in ext for x in c]),
+    @pytest.mark.parametrize("spoil", [
+        lambda w: dict(w, p=str(w["p"])),
+        lambda w: dict(w, n=float(w["n"])),
+        lambda w: dict(w, d=str(w["d"])),
+        lambda w: dict(w, m=w["m"] == 1),
+        lambda w: dict(w, modulus=[str(c) for c in w["modulus"]]),
+        lambda w: dict(w, extModulus=[float(x) for c in w["extModulus"] for x in c]),
+        lambda w: [w["p"], w["m"]],
     ], ids=["string-p", "float-n", "string-d", "bool-m", "string-modulus",
-            "flat-float-ext-modulus"])
-    def test_field_of_wrong_json_type(self, tmp_path, key, spoil):
+            "flat-float-ext-modulus", "record-not-an-object"])
+    def test_record_of_wrong_json_type(self, tmp_path, spoil):
         path = tmp_path / "witnesses.json"
         assert main(self.SCAN + ["--out", str(path)]) == 0
         good = json.loads(path.read_text())["witnesses"][0]
-        path.write_text(json.dumps([dict(good, **{key: spoil(good[key])}), good]))
+        path.write_text(json.dumps([spoil(good), good]))
         out = tmp_path / "verify.json"
         assert main(["verify", str(path), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
