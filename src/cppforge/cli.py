@@ -59,6 +59,7 @@ from .gf import (
 from .poly import Poly
 from .cpp_core import (
     VERIFIED_BRUTE,
+    CppWitness,
     GoodnessReport,
     cpp_exponent,
     goodness,
@@ -289,10 +290,11 @@ def verify_witness_file(path: str,
     t0 = time.time()
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
+    parse = witness_from_json
     if not text:
         records = []
     elif path.endswith(".csv"):
-        records = _witnesses_from_csv(text)
+        records, parse = _csv_records(text), _witness_from_csv_record
     else:
         obj = json.loads(text)
         records = obj["witnesses"] if isinstance(obj, dict) else obj
@@ -301,7 +303,7 @@ def verify_witness_file(path: str,
     count_ok = 0
     for rec in records:
         try:
-            w = witness_from_json(rec)
+            w = parse(rec)
         except (FieldError, KeyError, ValueError) as err:
             mismatches.append({"kind": "ParseOrFieldMismatch", "detail": str(err)})
             continue
@@ -376,31 +378,36 @@ def _witnesses_to_csv(witnesses: list) -> str:
     return buf.getvalue()
 
 
-def _witnesses_from_csv(text: str) -> list:
+def _csv_records(text: str) -> list:
+    """The rows of a witness CSV as dicts keyed by its header; comments skipped."""
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     rows = list(csv.reader(lines))
-    header, rows = rows[0], rows[1:]
-    out = []
-    for row in rows:
-        rec = dict(zip(header, row))
-        p, m, n = int(rec["p"]), int(rec["m"]), int(rec["n"])
-        base = mk_field(p, m)
-        tower = mk_tower(base, n)
-        b = int(rec["b_base_p"])
-        coords = ([list(base.decode(c)) for c in tower.decode(b)] if 0 <= b < tower.order
-                  else f"b_base_p {b} outside [0, {tower.order})")
-        out.append({
-            "p": p, "m": m, "n": n,
-            "modulus": list(base.modulus),
-            "extModulus": [list(base.decode(c)) for c in tower.ext_modulus],
-            "d": int(rec["d"]),
-            "b": coords,
-            "family": rec["family"],
-            "params": json.loads(rec["params"]) if rec["params"] else {},
-            "verified": rec["verified"],
-            "passed": None if rec["passed"] == "" else bool(int(rec["passed"])),
-        })
-    return out
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+def _witness_from_csv_record(rec: dict) -> CppWitness:
+    """One CSV row as a witness, through the JSON record it stands for.
+
+    A row that cannot be read or built raises KeyError, ValueError or
+    FieldError, so it is reported on its own, as a JSON record is.
+    """
+    p, m, n = int(rec["p"]), int(rec["m"]), int(rec["n"])
+    base = mk_field(p, m)
+    tower = mk_tower(base, n)
+    b = int(rec["b_base_p"])
+    coords = ([list(base.decode(c)) for c in tower.decode(b)] if 0 <= b < tower.order
+              else f"b_base_p {b} outside [0, {tower.order})")
+    return witness_from_json({
+        "p": p, "m": m, "n": n,
+        "modulus": list(base.modulus),
+        "extModulus": [list(base.decode(c)) for c in tower.ext_modulus],
+        "d": int(rec["d"]),
+        "b": coords,
+        "family": rec["family"],
+        "params": json.loads(rec["params"]) if rec["params"] else {},
+        "verified": rec["verified"],
+        "passed": None if rec["passed"] == "" else bool(int(rec["passed"])),
+    })
 
 
 def _write_report(report: ScanReport, out: Optional[str], fmt: str) -> None:

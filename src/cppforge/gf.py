@@ -92,6 +92,20 @@ def max_field_order() -> int:
     return 1 << bits
 
 
+def _order_too_large(q: int, n: int) -> bool:
+    """Whether q^n, for q >= 2 and n >= 1, exceeds max_field_order().
+
+    Decided from bit lengths where they settle it, since 2^((b-1)·n) <= q^n
+    < 2^(b·n) for q of b bits: q^n is formed only when it has at most about
+    twice the bits of the bound, never for a huge q or n.
+    """
+    bits = max_field_order().bit_length() - 1
+    b = q.bit_length()
+    if (b - 1) * n > bits:
+        return True
+    return b * n > bits and q ** n > 1 << bits
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -568,10 +582,13 @@ def mk_field(p: int, m: int) -> Fq:
         return hit
     if m < 1:
         raise DegreeZero("extension degree must be >= 1")
+    if p < 2:
+        raise NotPrime(f"{p} is not prime")
+    # the bound first: is_prime is trial division, minutes long for p near 10^18
+    if _order_too_large(p, m):
+        raise FieldTooLarge(f"{p}^{m} exceeds the configured field bound")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p ** m > max_field_order():
-        raise FieldTooLarge(f"{p}^{m} exceeds the configured field bound")
     if m == 1:
         modulus = (0, 1)  # the formal modulus x - 0
     else:
@@ -592,7 +609,7 @@ def mk_tower(base: Fq, n: int) -> Tower:
         return hit
     if n < 1:
         raise DegreeZero("tower degree must be >= 1")
-    if base.order ** n > max_field_order():
+    if _order_too_large(base.order, n):
         raise FieldTooLarge(f"{base.order}^{n} exceeds the configured field bound")
     from .poly import is_irreducible, least_monic
     ext = least_monic(base, n, is_irreducible).coeffs

@@ -21,27 +21,25 @@ every element over its dense op rows (`_row_zeros`), which is exact and
 cheaper than any gcd at that size; `roots_in` on towers and larger fields
 takes the squarefree part, its gcd with x^q - x and the equal-degree split.
 
-Polynomials below `_ENGINE_MIN` terms, and all polynomials over towers, stay
-on the list path.  Its products and remainders step with one kernel,
-out[off + j] += c·b[j], built once per context and kept on it; over fields
-of order at most gf._ROW_BOUND that kernel indexes the field's dense op rows
-instead of calling its methods.  A remainder by b adds multiples of the
-negated monic tail of b (`_tail`) and builds no quotient, so pow_mod, the
-Frobenius rows and each Euclid step compute that tail once for their
-modulus.  Frobenius powers on this path come from the Frobenius matrix of
-the modulus f, the rows x^(q·i) mod f, built once per call: over a context
-of order q every coefficient satisfies c^q = c, so h^q mod f = sum
-h_i·(x^(q·i) mod f) is one matrix product.  The distinct-degree split, the
-Rabin test and the root test in GF(q^k) take each step that way.
+All arithmetic, over plain fields and towers alike, runs on one list path.
+Its products and remainders step with one kernel, out[off + j] += c·b[j],
+built once per context and kept on it; over fields of order at most
+gf._ROW_BOUND that kernel indexes the field's dense op rows instead of
+calling its methods.  A remainder by b adds multiples of the negated monic
+tail of b (`_tail`) and builds no quotient, so pow_mod, the Frobenius rows
+and each Euclid step compute that tail once for their modulus.
 
-Large-degree work over plain fields (degrees in the hundreds appear in the
-scanners) is routed through a numpy backend that represents a polynomial as
-its GF(p) digit components and multiplies by integer convolution, as long as
-its int64 sums cannot overflow (`_on_engine`).  Its `pow_mod` takes each
-remainder with two products by a Newton inverse of the reversed modulus,
-computed once per call (von zur Gathen & Gerhard, Modern Computer Algebra,
-§9.1); its `divmod_` and `gcd` share one elimination loop whose step is one
-product of a digit matrix.
+The distinct-degree split, the Rabin test and the root test in GF(q^k) step
+h -> h^q mod f.  Over a context of order q every coefficient satisfies
+c^q = c, so h^q mod f = sum h_i·(x^(q·i) mod f) is one product by the
+Frobenius matrix of f, the rows x^(q·i) mod f, built once per call.  One
+size rule chooses the route: a modulus of `_ROWS_MIN` terms or more takes
+each step as one pow_mod instead.  The matrix costs deg f products mod f
+to build, which the one or two steps that `goodness` takes on a v_g of
+degree 350 never repay; on a small modulus the build is cheap, and each
+step is then one product in place of log2(q) squarings (the choice of
+algorithm by operand size of von zur Gathen & Gerhard, Modern Computer
+Algebra, §14).
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .gf import (
     Context,
@@ -81,28 +77,7 @@ class CoefficientsOutsideSubfield(FieldError):
     pass
 
 
-_ENGINE_MIN = 48  # coefficient count beyond which the numpy backend kicks in
-
-
-def _on_engine(ctx: Context, size: int, terms: int) -> bool:
-    """Whether work of `size` coefficients goes to the numpy backend.
-
-    Only plain fields have the backend, from _ENGINE_MIN coefficients on, and
-    only while its int64 sums cannot overflow.  Digits lie below p.  In
-    `_DenseEngine.mul` one convolution entry sums at most `terms` products of
-    two digits, the shorter operand's length, and each of the 2m - 1
-    t-components adds at most m convolutions: at most m·terms·(p-1)^2.
-    `_fold` adds to each low component at most m - 1 high ones, each times a
-    digit: at most m·terms·(p-1)^2·(1 + (m-1)(p-1)), which must stay below
-    2^63.  The elimination step of `divmod_` and `gcd` and the `_mats`
-    products sum m digit products, so they need the same bound with terms = 1;
-    every product inside `pow_mod`, the Newton inverse included, has a factor
-    shorter than the modulus, so there terms = len(mod).
-    """
-    if not isinstance(ctx, Fq) or size < _ENGINE_MIN:
-        return False
-    p, m = ctx.p, ctx.m
-    return m * terms * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)) < 1 << 63
+_ROWS_MIN = 48  # moduli this long take Frobenius steps by pow_mod, not rows
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +150,6 @@ def _pscale(ctx: Context, a: list, c: int) -> list:
 def _pmul(ctx: Context, a: list, b: list) -> list:
     if not a or not b:
         return []
-    if _on_engine(ctx, len(a) + len(b), min(len(a), len(b))):
-        eng = _engine(ctx)
-        return eng.from_arr(eng.mul(eng.to_arr(a), eng.to_arr(b)))
     axpy = _axpy(ctx)
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
@@ -218,10 +190,6 @@ def _pdivmod(ctx: Context, a: list, b: list) -> tuple:
         raise DivisionByZero("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
-    if _on_engine(ctx, len(a), 1):
-        eng = _engine(ctx)
-        q, r = eng.divmod_(eng.to_arr(a), eng.to_arr(b))
-        return eng.from_arr(q), eng.from_arr(r)
     axpy, r = _axpy(ctx), list(a)
     rem = _rem(axpy, r, _tail(ctx, axpy, b))
     q = r[len(b) - 1:]
@@ -229,7 +197,7 @@ def _pdivmod(ctx: Context, a: list, b: list) -> tuple:
 
 
 def _pmod(ctx: Context, a: list, b: list) -> list:
-    if not b or len(a) < len(b) or _on_engine(ctx, len(a), 1):
+    if not b or len(a) < len(b):
         return _pdivmod(ctx, a, b)[1]
     axpy = _axpy(ctx)
     return _rem(axpy, list(a), _tail(ctx, axpy, b))
@@ -242,9 +210,6 @@ def _pmonic(ctx: Context, a: list) -> list:
 
 
 def _pgcd(ctx: Context, a: list, b: list) -> list:
-    if _on_engine(ctx, max(len(a), len(b)), 1):
-        eng = _engine(ctx)
-        return eng.from_arr(eng.gcd(eng.to_arr(a), eng.to_arr(b)))
     a, b = _trim(list(a)), _trim(list(b))
     axpy = _axpy(ctx)
     while b:
@@ -255,9 +220,6 @@ def _pgcd(ctx: Context, a: list, b: list) -> list:
 def _ppow_mod(ctx: Context, a: list, e: int, mod: list) -> list:
     if len(mod) < 2:
         raise ValueError("modulus must have degree >= 1")
-    if _on_engine(ctx, len(mod), len(mod)):
-        eng = _engine(ctx)
-        return eng.from_arr(eng.pow_mod(eng.to_arr(a), e, eng.to_arr(mod)))
     axpy = _axpy(ctx)
     tail = _tail(ctx, axpy, mod)
     acc, base = [1], _rem(axpy, list(a), tail)
@@ -313,188 +275,6 @@ def _psub_x(ctx: Context, a: list) -> list:
     out = list(a) + [0] * max(0, 2 - len(a))
     out[1] = ctx.sub(out[1], 1)
     return _trim(out)
-
-
-# ---------------------------------------------------------------------------
-# numpy backend for large dense work over plain fields
-
-
-class _DenseEngine:
-    """Digit-component polynomial arithmetic over GF(p^m) via convolution.
-
-    A polynomial is an (m, length) array of GF(p) digits, column j holding
-    coefficient j.  Multiplication by a field element c is the m x m GF(p)
-    matrix whose column j holds the digits of c·t^j.
-
-    * `divmod_` and `gcd` share `_eliminate`: with the rows t^i·B/lc(B),
-      i < m, of the divisor B stacked once, removing the lead term c of the
-      remainder is one dot of c's digits with them and an in-place
-      subtract-and-mod on the top deg B + 1 columns.
-    * `pow_mod` reduces each product X by G = rev(M)^-1 mod x^(D-1), found
-      by Newton iteration once per call: Q = rev(rev(X)·G mod x^l) and the
-      remainder is the low D terms of X - Q·M (MCA §9.1).
-    """
-
-    def __init__(self, ctx: Fq):
-        self.ctx = ctx
-        self.p = ctx.p
-        self.m = ctx.m
-        self.powers = (ctx.p ** np.arange(ctx.m)).astype(np.int64)
-        # digit rows of t^j for j = m .. 2m-2, used to fold convolution output
-        self.red_rows = [
-            np.array(ctx.decode(ctx.pow_(ctx.p, j)), dtype=np.int64)
-            for j in range(ctx.m, 2 * ctx.m - 1)
-        ] if ctx.m > 1 else []
-
-    def to_arr(self, coeffs: list) -> np.ndarray:
-        enc = np.array(coeffs, dtype=np.int64)
-        out = np.empty((self.m, len(coeffs)), dtype=np.int64)
-        for i in range(self.m):
-            out[i] = enc % self.p
-            enc //= self.p
-        return out
-
-    def from_arr(self, arr: np.ndarray) -> list:
-        enc = self.powers.dot(arr % self.p)
-        out = enc.tolist()
-        return _trim(out)
-
-    def _fold(self, tcomp: list) -> np.ndarray:
-        """Reduce 2m-1 t-components to m using the field modulus rows."""
-        m = self.m
-        out = tcomp[:m]
-        for j in range(m, 2 * m - 1):
-            row = self.red_rows[j - m]
-            extra = tcomp[j]
-            for i in range(m):
-                if row[i]:
-                    out[i] = out[i] + row[i] * extra
-        return np.stack(out) % self.p
-
-    def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        if A.shape[1] == 0 or B.shape[1] == 0:
-            return np.zeros((self.m, 0), dtype=np.int64)
-        m = self.m
-        L = A.shape[1] + B.shape[1] - 1
-        tcomp = [np.zeros(L, dtype=np.int64) for _ in range(2 * m - 1)]
-        for i in range(m):
-            if not A[i].any():
-                continue
-            for j in range(m):
-                if not B[j].any():
-                    continue
-                tcomp[i + j] += np.convolve(A[i], B[j])
-        return self._fold(tcomp)
-
-    def _deg(self, A: np.ndarray) -> int:
-        nz = np.nonzero(A.any(axis=0))[0]
-        return int(nz[-1]) if len(nz) else -1
-
-    def _mats(self, c: int) -> np.ndarray:
-        """(m, m, m) GF(p) matrices: [i] multiplies digit columns by c·t^i.
-
-        digits(c·b) = _mats(c)[0] · digits(b), and column j of [i] holds the
-        digits of c·t^(i+j).
-        """
-        ctx, m, ct = self.ctx, self.m, [c]
-        for _ in range(2 * m - 2):
-            ct.append(ctx.mul(ct[-1], self.p))   # t is encoded as p
-        dig = [ctx.decode(x) for x in ct]
-        return np.array([dig[i:i + m] for i in range(m)], dtype=np.int64).transpose(0, 2, 1)
-
-    def _inv_lead(self, B: np.ndarray, d: int) -> np.ndarray:
-        return self._mats(self.ctx.inv(int(self.powers.dot(B[:, d]))))
-
-    def _eliminate(self, R: np.ndarray, B: np.ndarray, db: int) -> np.ndarray:
-        """Reduce R (digits mod p) modulo B of degree db in place; return the quotient."""
-        p, m, L = self.p, self.m, db + 1
-        inv = self._inv_lead(B, db)
-        TB = (inv @ B[:, :L] % p).reshape(m, m * L)
-        leads = np.zeros((m, max(0, R.shape[1] - db)), dtype=np.int64)
-        powers = self.powers
-        for k in range(R.shape[1] - 1, db - 1, -1):
-            c = R[:, k]
-            if powers.dot(c):
-                leads[:, k - db] = c
-                top = R[:, k - db:k + 1]
-                top -= c.dot(TB).reshape(m, L)
-                top %= p
-        return inv[0] @ leads % p
-
-    def divmod_(self, A: np.ndarray, B: np.ndarray) -> tuple:
-        db = self._deg(B)
-        if db < 0:
-            raise DivisionByZero("polynomial division by zero")
-        da = self._deg(A)
-        if da < db:
-            return np.zeros((self.m, 0), dtype=np.int64), A[:, :da + 1]
-        R = A[:, :da + 1] % self.p
-        Q = self._eliminate(R, B, db)
-        return Q, R[:, :db]
-
-    def gcd(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        da, db = self._deg(A), self._deg(B)
-        A, B = A[:, :da + 1] % self.p, B[:, :db + 1] % self.p
-        while db >= 0:
-            self._eliminate(A, B, db)
-            dr = min(db, A.shape[1]) - 1
-            while dr >= 0 and not self.powers.dot(A[:, dr]):
-                dr -= 1
-            A, B, db = B, A[:, :dr + 1], dr
-        if A.shape[1] == 0:
-            return A
-        return self._inv_lead(A, A.shape[1] - 1)[0] @ A % self.p
-
-    def _inverse_rev(self, M: np.ndarray, n: int) -> np.ndarray:
-        """rev(M)^-1 mod x^n by Newton iteration G <- G·(2 - rev(M)·G)."""
-        p, F = self.p, M[:, ::-1]
-        G = self._inv_lead(M, M.shape[1] - 1)[0, :, :1]
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            E = self.mul(F[:, :prec], G)[:, :prec]
-            E[0, 0] -= 1                       # E = F·G - 1 = 0 mod x^(old prec)
-            G = np.pad(G, ((0, 0), (0, prec - G.shape[1])))
-            G = (G - self.mul(G, E)[:, :prec]) % p
-        return G
-
-    def pow_mod(self, A: np.ndarray, e: int, M: np.ndarray) -> np.ndarray:
-        """A^e mod M by squaring; G is computed at the first product that needs reducing."""
-        p = self.p
-        M = M[:, :self._deg(M) + 1] % p
-        D = M.shape[1] - 1
-        G = None
-
-        def reduce(X: np.ndarray) -> np.ndarray:
-            nonlocal G
-            l = X.shape[1] - D              # X has at most 2D - 1 terms, so l < D
-            if l <= 0:
-                return X
-            if G is None:
-                G = self._inverse_rev(M, D - 1)
-            Q = self.mul(X[:, :D - 1:-1], G[:, :l])[:, l - 1::-1]
-            return (X[:, :D] - self.mul(Q, M)[:, :D]) % p
-
-        acc = self.to_arr([1])
-        base = self.divmod_(A, M)[1]
-        while e:
-            if e & 1:
-                acc = reduce(self.mul(acc, base))
-            e >>= 1
-            if e:
-                base = reduce(self.mul(base, base))
-        return acc
-
-
-_ENGINES: dict = {}
-
-
-def _engine(ctx: Fq) -> _DenseEngine:
-    eng = _ENGINES.get(id(ctx))
-    if eng is None:
-        eng = _DenseEngine(ctx)
-        _ENGINES[id(ctx)] = eng
-    return eng
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +553,10 @@ def _frobenius_rows(ctx: Context, f: list, rows: Optional[list] = None) -> Optio
     Gerhard, Modern Computer Algebra, §14.8).  Building it costs one pow_mod
     for x^q mod f and deg f - 2 products by it, each reduced by the tail of
     f.  Given the rows of a multiple of f, it reduces them mod f instead.
-    Returns None when f goes to the numpy backend, whose Frobenius steps stay
-    pow_mod.
+    Returns None for f of `_ROWS_MIN` terms or more, whose Frobenius steps
+    are each one pow_mod.
     """
-    if _on_engine(ctx, len(f), len(f)):
+    if len(f) >= _ROWS_MIN:
         return None
     n = len(f) - 1
     axpy = _axpy(ctx)
@@ -934,7 +714,8 @@ def is_irreducible(f: Poly) -> bool:
     x^(q^k) come in increasing k from the Frobenius matrix of f, one product
     per step (`_frobenius_rows`; c^q = c for every coefficient, so the map
     h ↦ h^q mod f is linear), and the test stops at the first gcd that is not
-    1.  On the numpy backend each stretch between two such k is one pow_mod.
+    1.  For f of `_ROWS_MIN` terms or more, each stretch between two such k
+    is one pow_mod.
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")

@@ -18,6 +18,15 @@ from cppforge.cpp_core import goodness
 from cppforge.gf import HARD_BRUTE_CAP, FqElem, mk_field, mk_tower
 
 
+def _run_module(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """`python -m cppforge *argv` in a child process, stopped after timeout s."""
+    src = str(Path(cppforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cppforge", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestScanDegreeGuard:
     def test_d_lin2_skips_items_of_wrong_degree(self):
         # GF(16^3): the r = 1 item has degree 2 != n + 1 and yields no witness;
@@ -185,22 +194,24 @@ class TestMalformedWitness:
     SCAN = ["scan", "--p", "3", "--m", "1", "--n", "4", "--family", "A1",
             "--range", '{"e": [1]}']
 
-    @pytest.mark.parametrize("fmt, spoil", [
-        ("json", lambda b: [[x + 3 for x in c] for c in b]),
-        ("json", lambda b: b + [[0]]),
-        ("json", lambda b: [[0] for _ in b]),
-        ("csv", lambda b: str(int(b) + 81)),
-    ], ids=["digits-raised-by-p", "extra-coordinate", "zero", "csv-past-order"])
-    def test_reported_next_to_a_valid_record(self, tmp_path, fmt, spoil):
+    @pytest.mark.parametrize("fmt, key, spoil", [
+        ("json", "b", lambda b: [[x + 3 for x in c] for c in b]),
+        ("json", "b", lambda b: b + [[0]]),
+        ("json", "b", lambda b: [[0] for _ in b]),
+        ("csv", "b_base_p", lambda b: str(int(b) + 81)),
+        ("csv", "p", lambda p: "x"),
+    ], ids=["digits-raised-by-p", "extra-coordinate", "zero", "csv-past-order",
+            "csv-p-not-an-int"])
+    def test_reported_next_to_a_valid_record(self, tmp_path, fmt, key, spoil):
         path = tmp_path / f"witnesses.{fmt}"
         assert main(self.SCAN + ["--format", fmt, "--out", str(path)]) == 0
         if fmt == "json":
             good = json.loads(path.read_text())["witnesses"][0]
-            path.write_text(json.dumps([dict(good, b=spoil(good["b"])), good]))
+            path.write_text(json.dumps([dict(good, **{key: spoil(good[key])}), good]))
         else:
             header, good = list(csv.reader(path.read_text().splitlines()[1:]))[:2]
             bad = list(good)
-            i = header.index("b_base_p")
+            i = header.index(key)
             bad[i] = spoil(good[i])
             buf = io.StringIO()
             csv.writer(buf).writerows([header, bad, good])
@@ -230,6 +241,21 @@ class TestMalformedWitness:
         assert main(["verify", str(path), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert [m["kind"] for m in report["mismatches"]] == ["ParseOrFieldMismatch"]
+        assert report["counts"]["verifiedCpp"] == 1
+
+    def test_huge_prime_p(self, tmp_path):
+        # 10^18 + 3 is prime: the field bound rejects it before any primality
+        # test by trial division, which takes minutes; run apart, with a timeout
+        path = tmp_path / "witnesses.json"
+        assert main(self.SCAN + ["--out", str(path)]) == 0
+        good = json.loads(path.read_text())["witnesses"][0]
+        path.write_text(json.dumps([dict(good, p=10 ** 18 + 3), good]))
+        out = tmp_path / "verify.json"
+        proc = _run_module("verify", str(path), "--out", str(out), timeout=30)
+        assert proc.returncode == 1
+        report = json.loads(out.read_text())
+        assert [m["kind"] for m in report["mismatches"]] == ["ParseOrFieldMismatch"]
+        assert "exceeds the configured field bound" in report["mismatches"][0]["detail"]
         assert report["counts"]["verifiedCpp"] == 1
 
 
@@ -274,11 +300,17 @@ def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_witness_file_with_a_bad_field_exits_2(tmp_path, capsys):
+def test_witness_csv_row_with_a_bad_field_is_a_mismatch(tmp_path, capsys):
+    # a CSV row stands for a JSON record, and a record with p = 6 is a
+    # ParseOrFieldMismatch of its own, not a config error for the whole run
     bad = tmp_path / "witnesses.csv"
     bad.write_text(",".join(cli._CSV_HEADER) + "\n6,1,2,0,1|1|1,7,1,A1,{},BruteForce,1\n")
-    assert main(["verify", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    out = tmp_path / "verify.json"
+    assert main(["verify", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["mismatches"] == [{"kind": "ParseOrFieldMismatch", "detail": "6 is not prime"}]
+    assert report["counts"]["verifiedCpp"] == 0
 
 
 def test_os_error_without_a_path_propagates(monkeypatch):
@@ -466,17 +498,10 @@ class TestExitCodes:
 class TestModuleEntryPoint:
     """`python -m cppforge` runs `cli.main` and exits with its code."""
 
-    def _run(self, *argv: str) -> subprocess.CompletedProcess:
-        src = str(Path(cppforge.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "cppforge", *argv],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path))
-
     def test_help_exits_0(self):
-        proc = self._run("--help")
+        proc = _run_module("--help")
         assert proc.returncode == 0 and proc.stdout.startswith("usage: cppforge")
 
     def test_config_error_exits_2(self):
-        proc = self._run(*SCAN, "--workers", "0")
+        proc = _run_module(*SCAN, "--workers", "0")
         assert proc.returncode == 2 and proc.stderr.startswith("config error:")

@@ -303,8 +303,9 @@ class TestGoodnessEarlyExit:
                  + [data.draw(st.integers(1, q - 1))])
         with pytest.MonkeyPatch.context() as mp:
             if path == "engine":
-                # every polynomial of two or more coefficients goes to the engine
-                mp.setattr(poly, "_ENGINE_MIN", 2)
+                # the route of large moduli on every modulus of two or more
+                # terms: each Frobenius step is one pow_mod, not a row product
+                mp.setattr(poly, "_ROWS_MIN", 2)
             rep = goodness(g)
             got = (rep.is_good, rep.reason, rep.radical, rep.orbit_sizes)
             assert got == _goodness_from_full_split(g)

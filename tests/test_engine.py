@@ -1,10 +1,10 @@
-"""The numpy dense engine against independent references.
+"""Polynomial arithmetic on operands of 48 terms and more against references.
 
 Over prime fields the reference is sympy's galoistools, which lists
 coefficients from the highest degree down.  Over extension fields it is the
-list path of `poly`, forced by raising `poly._ENGINE_MIN` past every input.
-Every engine call below has at least `_ENGINE_MIN` coefficients where the
-dispatch looks, so it runs on the engine.
+schoolbook product and long division of `tests/test_listpath.py`, on a copy
+of the field without op rows.  48 is `poly._ROWS_MIN`, from which moduli
+take their Frobenius steps by pow_mod.
 """
 
 import random
@@ -14,48 +14,49 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow_mod
 
+import test_listpath as listpath
 from cppforge import poly
 from cppforge.cpp_core import goodness
 from cppforge.gf import mk_field
 from cppforge.poly import (
-    Poly, _on_engine, _pdivmod, _pgcd, _pmonic, _pmul, _ppow_mod, orbit_split,
+    Poly, _pdivmod, _pgcd, _pmonic, _pmul, _ppow_mod, orbit_split,
 )
 
 FIELDS = [mk_field(p, m) for p, m in
           [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)]]
 IDS = [repr(F) for F in FIELDS]
-ENGINE_MIN = poly._ENGINE_MIN
+ROWS_MIN = poly._ROWS_MIN
 
 bounded = settings(derandomize=True, database=None, deadline=None, max_examples=8)
-
-
-def on_list_path(fn, *args):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_ENGINE_MIN", 10 ** 9)
-        return fn(*args)
 
 
 def _ints(high_first: list) -> list:
     return [int(c) for c in reversed(high_first)]
 
 
+def ref_mul(F, a, b):
+    if F.m == 1:
+        return _ints(gf_mul(a[::-1], b[::-1], F.p, ZZ))
+    return listpath.ref_mul(F, a, b)
+
+
 def ref_divmod(F, a, b):
     if F.m == 1:
         q, r = gf_div(a[::-1], b[::-1], F.p, ZZ)
         return _ints(q), _ints(r)
-    return on_list_path(_pdivmod, F, a, b)
+    return listpath.ref_divmod(F, a, b)
 
 
 def ref_gcd(F, a, b):
     if F.m == 1:
         return _ints(gf_gcd(a[::-1], b[::-1], F.p, ZZ))
-    return on_list_path(_pgcd, F, a, b)
+    return listpath.ref_gcd(F, a, b)
 
 
 def ref_pow_mod(F, a, e, mod):
     if F.m == 1:
         return _ints(gf_pow_mod(a[::-1], e, mod[::-1], F.p, ZZ))
-    return on_list_path(_ppow_mod, F, a, e, mod)
+    return listpath.ref_pow_mod(F, a, e, mod)
 
 
 def polys(F, lo: int, hi: int):
@@ -75,7 +76,7 @@ class TestAgainstReference:
     @bounded
     @given(data=st.data())
     def test_divmod(self, F, data):
-        a = data.draw(polys(F, ENGINE_MIN, 140))
+        a = data.draw(polys(F, ROWS_MIN, 140))
         b = data.draw(polys(F, 1, 100))
         assert list(_pdivmod(F, a, b)) == list(ref_divmod(F, a, b))
 
@@ -83,14 +84,14 @@ class TestAgainstReference:
     @given(data=st.data())
     def test_exact_division(self, F, data):
         b = data.draw(polys(F, 2, 60))
-        c = data.draw(polys(F, ENGINE_MIN, 80))
+        c = data.draw(polys(F, ROWS_MIN, 80))
         assert _pdivmod(F, _pmul(F, b, c), b) == (c, [])
 
     @bounded
     @given(data=st.data())
     def test_gcd_of_multiples(self, F, data):
         c = data.draw(polys(F, 1, 30))
-        a = _pmul(F, data.draw(polys(F, ENGINE_MIN, 90)), c)
+        a = _pmul(F, data.draw(polys(F, ROWS_MIN, 90)), c)
         b = _pmul(F, data.draw(polys(F, 1, 90)), c)
         g = _pgcd(F, a, b)
         assert g == ref_gcd(F, a, b)
@@ -99,13 +100,13 @@ class TestAgainstReference:
     @bounded
     @given(data=st.data())
     def test_gcd_with_zero(self, F, data):
-        a = data.draw(polys(F, ENGINE_MIN, 90))
+        a = data.draw(polys(F, ROWS_MIN, 90))
         assert _pgcd(F, a, []) == _pgcd(F, [], a) == _pmonic(F, a) == ref_gcd(F, a, [])
 
     @bounded
     @given(data=st.data())
     def test_pow_mod(self, F, data):
-        mod = data.draw(polys(F, ENGINE_MIN, 64))
+        mod = data.draw(polys(F, ROWS_MIN, 64))
         a = data.draw(polys(F, 1, 90))
         e = data.draw(exponents(F))
         assert _ppow_mod(F, a, e, mod) == ref_pow_mod(F, a, e, mod)
@@ -114,7 +115,7 @@ class TestAgainstReference:
         rnd = random.Random(F.order)
         b = [rnd.randrange(F.order) for _ in range(47)] + [rnd.randrange(1, F.order)]
         a = [rnd.randrange(F.order) for _ in range(96)] + [1]
-        assert len(b) == ENGINE_MIN
+        assert len(b) == ROWS_MIN
         assert list(_pdivmod(F, a, b)) == list(ref_divmod(F, a, b))
         x = [0, 1]
         for e in (0, 1, F.order, F.order ** 3):
@@ -142,51 +143,42 @@ def test_orbit_split_and_goodness_agree_with_list_path(data):
     f = _pmul(F, _pmul(F, u, _pmul(F, w, w)), _pmul(F, z, _pmul(F, z, z)))
     assert 60 <= len(f) - 1 <= 120
     fp = Poly(F, f)
-    assert _orbit_json(orbit_split(fp)) == _orbit_json(on_list_path(orbit_split, fp))
+    rows, pow_mod = listpath.by_both_routes(orbit_split, fp)
+    assert _orbit_json(rows) == _orbit_json(pow_mod) == _orbit_json(orbit_split(fp))
     # g = -x·f(-x) has g(0) = 0 and v_g = -f
     g = -(Poly.x(F) * fp.scale_arg(F.neg(1)))
-    assert goodness(g) == on_list_path(goodness, g)
+    assert listpath.by_both_routes(goodness, g) == [goodness(g)] * 2
 
 
 class TestInt64Bound:
-    """Large p: the engine's int64 sums must not overflow (`poly._on_engine`).
+    """Large p: products, divmod and pow_mod against sympy.
 
-    Over GF(2^31 - 1) a digit product is just below 2^62, so a convolution
-    entry of three or more products passes 2^63: products and powers go to the list
-    path, while divmod, whose elimination sums one product per entry, may
-    stay on the engine.  Over GF(2^32 - 5) even one product does not fit.
+    Over GF(2^31 - 1) a product of two coefficients is just below 2^62, and
+    over GF(2^32 - 5) it passes 2^63, so any fixed-width sum of them would
+    overflow; the list path works on Python ints.
     """
 
     P31 = mk_field(2 ** 31 - 1, 1)
     P32 = mk_field(4294967291, 1)
-
-    def test_bound(self):
-        assert _on_engine(self.P31, 60, 2) and not _on_engine(self.P31, 60, 3)
-        assert not _on_engine(self.P32, 60, 1)
-        assert _on_engine(mk_field(65521, 1), 200, 200)
-        assert not _on_engine(self.P31, ENGINE_MIN - 1, 1)
 
     @pytest.mark.parametrize("F", [P31, P32], ids=["GF(2^31-1)", "GF(2^32-5)"])
     def test_product(self, F):
         rnd = random.Random(F.p)
         a = [rnd.randrange(F.p) for _ in range(30)]
         b = [rnd.randrange(F.p) for _ in range(30)]
-        expect = _ints(gf_mul(a[::-1], b[::-1], F.p, ZZ))
-        assert _pmul(F, a, b) == on_list_path(_pmul, F, a, b) == expect
+        assert _pmul(F, a, b) == ref_mul(F, a, b)
 
     @pytest.mark.parametrize("F", [P31, P32], ids=["GF(2^31-1)", "GF(2^32-5)"])
     def test_divmod(self, F):
         rnd = random.Random(F.p + 1)
         a = [rnd.randrange(F.p) for _ in range(70)] + [1]
         b = [rnd.randrange(F.p) for _ in range(25)] + [rnd.randrange(1, F.p)]
-        expect = list(ref_divmod(F, a, b))
-        assert list(_pdivmod(F, a, b)) == list(on_list_path(_pdivmod, F, a, b)) == expect
+        assert list(_pdivmod(F, a, b)) == list(ref_divmod(F, a, b))
 
     @pytest.mark.parametrize("F", [P31, P32], ids=["GF(2^31-1)", "GF(2^32-5)"])
     def test_pow_mod(self, F):
         rnd = random.Random(F.p + 2)
-        mod = [rnd.randrange(F.p) for _ in range(ENGINE_MIN)] + [1]
+        mod = [rnd.randrange(F.p) for _ in range(ROWS_MIN)] + [1]
         a = [rnd.randrange(F.p) for _ in range(40)]
         e = rnd.randrange(2 ** 12, 2 ** 13)
-        expect = ref_pow_mod(F, a, e, mod)
-        assert _ppow_mod(F, a, e, mod) == on_list_path(_ppow_mod, F, a, e, mod) == expect
+        assert _ppow_mod(F, a, e, mod) == ref_pow_mod(F, a, e, mod)

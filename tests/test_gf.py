@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -127,6 +128,33 @@ class TestMkField:
             mk_field(5, 0)
         with pytest.raises(FieldTooLarge):
             mk_field(2, 64)
+
+    def test_bound_before_primality(self):
+        # 10^18 + 3 is prime, and trial division up to 10^9 takes minutes;
+        # run apart, with a timeout
+        code = ("from cppforge import gf\n"
+                "try:\n    gf.mk_field(10 ** 18 + 3, 1)\n"
+                "except gf.FieldTooLarge:\n    print('FieldTooLarge')")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(gf.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=30).stdout
+        assert out.strip() == "FieldTooLarge"
+
+    def test_bound_without_the_power(self):
+        # 2^(10^8) takes most of a second to form; the bound needs no power
+        t0 = time.perf_counter()
+        with pytest.raises(FieldTooLarge):
+            mk_tower(F2, 10 ** 8)
+        assert time.perf_counter() - t0 < 0.2
+
+    @pytest.mark.parametrize("bits", ["32", "40"])
+    def test_order_bound_by_bit_lengths(self, monkeypatch, bits):
+        monkeypatch.setenv("CPPFORGE_MAX_FIELD_BITS", bits)
+        bound = gf.max_field_order()
+        for q in list(range(2, 80)) + [2 ** 16, 2 ** 16 + 1, 2 ** 20 - 1, 2 ** 32 + 15]:
+            for n in range(1, 42):
+                assert gf._order_too_large(q, n) == (q ** n > bound), (q, n)
 
     def test_idempotent(self):
         assert mk_field(5, 1) is F5

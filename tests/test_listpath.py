@@ -1,20 +1,24 @@
-"""The list path of `poly` (operands below `_ENGINE_MIN` terms) against references.
+"""The list path of `poly`, the only polynomial arithmetic, against references.
 
 * `_pmul`, `_pdivmod` and `_pmod` step with one kernel that indexes the dense
-  op rows of small fields.  The reference is a schoolbook product from
-  `_mul_slow`, computed on a copy of the field that has no rows.  `_ppow_mod`
-  is checked against repeated products and remainders.
-* `orbit_parts` and `is_irreducible` take their Frobenius powers
-  from the matrix of `_frobenius_rows`.  The references are a copy of the
-  former pow_mod loop and, for irreducibility, sympy's `gf_irreducible_p`
-  over prime fields and a Rabin test with one pow_mod per power elsewhere;
-  the counts of irreducibles are checked against Gauss's formula.
+  op rows of small fields.  The references are a schoolbook product and long
+  division from `_mul_slow`, computed on a copy of the field that has no
+  rows (`tests/test_engine.py` uses them on operands of 48 terms and more).
+  `_ppow_mod` is checked against repeated products and remainders.
+* `orbit_parts` and `is_irreducible` take their Frobenius powers from the
+  matrix of `_frobenius_rows` for moduli below `_ROWS_MIN` terms, and by one
+  pow_mod per step from there on.  The references are a pow_mod loop and,
+  for irreducibility, sympy's `gf_irreducible_p` over prime fields and a
+  Rabin test with one pow_mod per power elsewhere; the counts of
+  irreducibles are checked against Gauss's formula.  Both routes must agree
+  on moduli on either side of `_ROWS_MIN`.
 
 Every check runs over fields with rows (GF(2), GF(5), GF(9)), fields without
 (GF(3^6), GF(2^10)) and a tower (GF(4^3)).
 """
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +26,7 @@ from sympy import divisors, mobius, primefactors
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from cppforge import gf
+from cppforge import gf, poly
 from cppforge.gf import mk_field, mk_tower
 from cppforge.poly import (
     Poly,
@@ -36,7 +40,9 @@ from cppforge.poly import (
     _psub,
     _psub_x,
     _trim,
+    has_root_in_extension,
     is_irreducible,
+    least_monic,
     orbit_parts,
     squarefree_part,
 )
@@ -85,6 +91,41 @@ def ref_add(ctx, a: list, b: list) -> list:
     ref = bare(ctx)
     a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
     return _trim([ref.add(x, y) for x, y in zip(a, b)])
+
+
+def ref_divmod(ctx, a: list, b: list) -> tuple:
+    """Schoolbook long division, the quotient built term by term."""
+    ref, db = bare(ctx), len(b) - 1
+    r, q = list(a), [0] * max(0, len(a) - db)
+    inv = ref.inv(b[-1])
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = q[k] = ref._mul_slow(r[k + db], inv)
+        for j, y in enumerate(b):
+            r[k + j] = ref.sub(r[k + j], ref._mul_slow(c, y))
+    return _trim(q), _trim(r[:db])
+
+
+def ref_gcd(ctx, a: list, b: list) -> list:
+    """The monic gcd by Euclid's algorithm on `ref_divmod`."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, ref_divmod(ctx, a, b)[1]
+    if not a:
+        return []
+    ref = bare(ctx)
+    inv = ref.inv(a[-1])
+    return [ref._mul_slow(c, inv) for c in a]
+
+
+def ref_pow_mod(ctx, a: list, e: int, mod: list) -> list:
+    """a^e mod mod by square-and-multiply on `ref_mul` and `ref_divmod`."""
+    acc, base = ref_divmod(ctx, [1], mod)[1], ref_divmod(ctx, a, mod)[1]
+    while e:
+        if e & 1:
+            acc = ref_divmod(ctx, ref_mul(ctx, acc, base), mod)[1]
+        e >>= 1
+        base = ref_divmod(ctx, ref_mul(ctx, base, base), mod)[1]
+    return acc
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)
@@ -254,8 +295,69 @@ def test_irreducible_counts_over_gf2():
 
 
 def test_engine_sized_moduli_keep_pow_mod():
+    # the route is chosen by the size of the modulus alone, towers included
     F = mk_field(3, 2)
     big = [1] * 48
     assert _frobenius_rows(F, big) is None
     assert _frobenius_rows(F, big[:47]) is not None
-    assert _frobenius_rows(TOWER[0], [1] * 60) is not None   # towers have no engine
+    assert _frobenius_rows(TOWER[0], [1] * 60) is None
+    assert _frobenius_rows(TOWER[0], [1] * 47) is not None
+
+
+# ---------------------------------------------------------------------------
+# the size rule: rows below `_ROWS_MIN` terms, one pow_mod per step from there
+
+
+def prime_field_irreducible(p: int, deg: int) -> list:
+    """A monic irreducible of degree deg over GF(p), from seeded draws and sympy."""
+    rnd = random.Random(deg)
+    while True:
+        f = [rnd.randrange(p) for _ in range(deg)] + [1]
+        if gf_irreducible_p(f[::-1], p, ZZ):
+            return f
+
+
+def by_both_routes(fn, *args):
+    """fn(*args) with every modulus on the Frobenius rows, and with every one on pow_mod."""
+    out = []
+    for bound in (10 ** 9, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_ROWS_MIN", bound)
+            out.append(fn(*args))
+    return out
+
+
+def root_tests(f: Poly) -> tuple:
+    return is_irreducible(f), [has_root_in_extension(f, k) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("terms", [47, 48, 60])
+class TestRoutesAgreeAtTheSizeRule:
+    F9 = mk_field(3, 2)
+
+    def test_known_answers_over_gf9(self, terms):
+        # an irreducible over GF(3) of degree d stays irreducible over GF(9)
+        # iff d is odd, and otherwise splits into two factors of degree d/2
+        F, d = self.F9, terms - 1
+        irr = Poly(F, prime_field_irreducible(3, d))
+        assert by_both_routes(root_tests, irr) == [(d % 2 == 1, [False] * 4)] * 2
+        # a quadratic times a cubic times a factor of degree at least 21:
+        # roots in GF(9^k) exactly for k = 2, 3, 4
+        quad, cubic = (least_monic(F, e, is_irreducible) for e in (2, 3))
+        mixed = quad * cubic * Poly(F, prime_field_irreducible(3, d - 5))
+        assert by_both_routes(root_tests, mixed) == [(False, [False, True, True, True])] * 2
+
+    def test_random_over_gf9(self, terms):
+        rnd = random.Random(terms)
+        f = Poly(self.F9, [rnd.randrange(9) for _ in range(terms - 1)] + [1])
+        rows, pow_mod = by_both_routes(root_tests, f)
+        assert rows == pow_mod
+
+    @pytest.mark.parametrize("ctx", [mk_field(2, 10), TOWER[0]], ids=repr)
+    def test_binomials_without_rows(self, ctx, terms):
+        # x^(q·i) mod x^n - c is a monomial, which keeps a field without
+        # op rows cheap on both routes.  n = 46, 47, 59 is prime to q - 1
+        # (1023 and 63), so y -> y^n permutes GF(q) and x^n - c has a root there
+        for c in (1, 2, ctx.order - 1):
+            f = Poly(ctx, [ctx.neg(c)] + [0] * (terms - 2) + [1])
+            assert by_both_routes(root_tests, f) == [(False, [True] * 4)] * 2

@@ -69,7 +69,7 @@ class TestRingOps:
             b = [rng.randrange(ctx.order) for _ in range(90)]
             a[-1] = b[-1] = 1
             big = Poly(ctx, a) * Poly(ctx, b)
-            # same product with the schoolbook path, forced by small slices
+            # the same product as a sum of scaled shifts of b
             acc = Poly.zero(ctx)
             for i, c in enumerate(a):
                 if c:
