@@ -20,15 +20,16 @@ its check, through one function, _scan_chunk, whatever the worker count.
 The parent computes only the family's parameter list (family_params) and
 splits it into one contiguous chunk per worker, one chunk for --workers 1;
 each process draws its chunk's items from enumerate_family one at a time and
-checks each with _scan_item before building the next.  The first brute
-force in a process builds the tower's exp/log tables there, so the items
-built after it use tabled tower multiplication; with --workers k > 1 the
-parent builds no item and no table.  Results are merged in enumeration
-order.  An exception other than FieldError while building or checking one
-item becomes an internalErrors record and the scan goes on.  goodness runs
-once per equivalence class in each chunk (cpp_core.goodness_class: g up
-to c·g(c'x) and the coefficient Frobenius); the other items of the class
-reuse its verdict.
+checks each with _scan_item before building the next.  The first brute force
+in a process builds the tower's exp/log tables there, so the items built
+after it use tabled tower multiplication; with --workers k > 1 the parent
+builds no item and no table, but imports numpy (which only tables need) when
+the tower fits the brute-force bound, so the forked workers share that
+import.  Results are merged in enumeration order.  An exception other than
+FieldError while building or checking one item becomes an internalErrors
+record and the scan goes on.  goodness runs once per equivalence class in
+each chunk (cpp_core.goodness_class: g up to c·g(c'x) and the coefficient
+Frobenius); the other items of the class reuse its verdict.
 
 Exit codes: 0 ok, 1 mismatches found, 2 configuration error, 3 internal
 error in at least one item (which takes precedence over 1).
@@ -244,6 +245,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
     if config.workers == 1:
         parts = list(map(*args))
     else:
+        if tower is not None and tower.order <= config.brute_bound:
+            import numpy  # noqa: F401  once, before the workers fork
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(*args))
     for res in chain.from_iterable(parts):

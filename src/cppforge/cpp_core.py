@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .gf import (
     Context,
@@ -117,6 +118,7 @@ def _eval_all_sparse(ctx: Context, terms: dict, brute_bound: int) -> np.ndarray:
     """
     if ctx.order > brute_bound:
         raise FieldTooLarge(f"|F| = {ctx.order} exceeds brute bound {brute_bound}")
+    import numpy as np
     # odd p needs the digit matrix, whose cap is checked before any table is built
     dig = ctx.digit_matrix() if ctx.p != 2 else None
     ctx.ensure_tables(brute_bound)
@@ -175,6 +177,7 @@ def _is_injective_values(vals: np.ndarray, order: int) -> bool:
     With as many values as the range holds, that is the case exactly when
     every encoding of the range is hit.
     """
+    import numpy as np
     seen = np.zeros(order, dtype=bool)
     seen[vals] = True
     return bool(seen.all())

@@ -26,18 +26,19 @@ its fast paths in front (prime fields, dense rows, exp/log tables) and
 
 Contexts are interned, so two independent constructions of the same field
 are the same object.  Any context whose order fits the brute-force bound can
-lazily build numpy exp/log tables for vectorised full-field evaluation;
-fields of order up to _ROW_BOUND build them at once and derive dense
-multiplication, addition, negation and inverse rows from them.
+lazily build numpy exp/log tables for vectorised full-field evaluation, the
+only use of numpy.  Fields of order up to _ROW_BOUND build exp/log lists at
+once and derive dense multiplication, addition, negation and inverse rows.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_FIELD_BITS = 32
 DEFAULT_BRUTE_BOUND = 1 << 24
@@ -171,7 +172,8 @@ class Context:
     # populated lazily
     _exp: Optional[np.ndarray] = None
     _log: Optional[np.ndarray] = None
-    _log_list: Optional[list] = None       # _log as a list, cpp_core.goodness_class
+    _log_list: Optional[list] = None       # log as a list: Fq.build_rows, goodness_class
+    _exp_list: Optional[list] = None       # exp as a list: Fq.build_rows only
     _digmat: Optional[np.ndarray] = None
     _rows: Optional[np.ndarray] = None     # exp by cosets, cpp_core._eval_all_sparse
     _primitive: Optional[int] = None
@@ -305,6 +307,8 @@ class Context:
         if a == 0:
             return 0 if e else 1
         m = self.order - 1
+        if self._exp_list is not None:
+            return self._exp_list[self._log_list[a] * (e % m) % m]
         if self._log is not None:
             return int(self._exp[(int(self._log[a]) * (e % m)) % m])
         e %= m
@@ -341,6 +345,7 @@ class Context:
 
     def ensure_tables(self, brute_bound: int = DEFAULT_BRUTE_BOUND) -> None:
         """Build exp/log numpy tables (index <-> encoding of gamma^i)."""
+        import numpy as np
         if self._exp is not None:
             return
         n = self.order
@@ -356,6 +361,7 @@ class Context:
 
     def _exp_by_matrix(self, g: int, m: int) -> np.ndarray:
         """gamma^0 .. gamma^(m-1) through powers of the digit matrix of gamma."""
+        import numpy as np
         p, k = self.p, self.deg_over_prime
         # multiplication by gamma is GF(p)-linear on the flat digit vector
         mat = np.zeros((k, k), dtype=np.int64)
@@ -390,6 +396,7 @@ class Context:
         exp[L:2L] = gamma^L exp[0:L] is an xor of one 256-entry lookup table
         per byte of the encoding, each built from the images of its 8 bits.
         """
+        import numpy as np
         k = self.deg_over_prime
         exp = np.empty(m, dtype=np.int64)
         exp[0] = 1
@@ -412,6 +419,7 @@ class Context:
         if self._digmat is None:
             if self.order > _DIGIT_CACHE_BOUND:
                 raise FieldTooLarge("digit matrix too large to materialise")
+            import numpy as np
             p, k = self.p, self.deg_over_prime
             a = np.arange(self.order, dtype=np.int64)
             dig = np.empty((self.order, k), dtype=np.int8)
@@ -423,6 +431,7 @@ class Context:
 
 
 def _mat_pow_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
+    import numpy as np
     acc = np.eye(mat.shape[0], dtype=np.int64)
     base = mat % p
     while e:
@@ -486,33 +495,33 @@ class Fq(Context):
         return self._mul_slow(a, b)
 
     def build_rows(self) -> None:
-        """Dense op rows for small fields; a no-op above the row bound.
+        """Dense op rows and exp/log lists for small fields; a no-op above the row bound.
 
-        Products and inverses (exp[-k] for exp[k]) come from the exp/log
-        tables of ensure_tables, sums and negatives digit by digit; the rows
-        are kept as lists because indexing a list is the fastest lookup.
+        Lists, because indexing a list is the fastest lookup: exp for the
+        primitive element of ensure_tables, products and inverses from exp/log,
+        sums digit by digit as a0 + p·A plus b0 + p·B = (a0 + b0) % p + p·(A + B).
         """
         if self._mul_rows is not None or self.order > _ROW_BOUND:
             return
-        self.ensure_tables()
-        n, p, exp, log = self.order, self.p, self._exp, self._log
-        mul = np.zeros((n, n), dtype=np.int64)
-        mul[1:, 1:] = np.concatenate([exp, exp])[log[1:, None] + log[None, 1:]]
-        inv = np.zeros(n, dtype=np.int64)
-        inv[exp] = exp[-np.arange(n - 1)]
-        a = np.arange(n, dtype=np.int64)
-        add = np.zeros((n, n), dtype=np.int64)
-        neg = np.zeros(n, dtype=np.int64)
-        pw = 1
-        for _ in range(self.m):
-            d = a // pw % p
-            add += (d[:, None] + d[None, :]) % p * pw
-            neg += -d % p * pw
-            pw *= p
-        self._neg_row = neg.tolist()
-        self._add_rows = add.tolist()
-        self._mul_rows = mul.tolist()
-        self._inv_row = inv.tolist()
+        n, p, g = self.order, self.p, self.primitive_element()
+        m = n - 1
+        exp = [1] * m
+        for i in range(1, m):
+            exp[i] = self._mul_slow(exp[i - 1], g)
+        log = [-1] * n
+        for i, a in enumerate(exp):
+            log[a] = i
+        digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+        add = digit
+        for _ in range(self.m - 1):
+            add = [[c + p * t for t in add[A] for c in digit[a0]]
+                   for A in range(len(add)) for a0 in range(p)]
+        self._neg_row = [row.index(0) for row in add]
+        self._add_rows = add
+        self._mul_rows = [[0] * n] + [[0] + [exp[(la + lb) % m] for lb in log[1:]]
+                                      for la in log[1:]]
+        self._inv_row = [0] + [exp[-la % m] for la in log[1:]]
+        self._exp_list, self._log_list = exp, log
 
     def __reduce__(self):
         return (mk_field, (self.p, self.m))

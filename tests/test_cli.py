@@ -322,6 +322,38 @@ def test_os_error_without_a_path_propagates(monkeypatch):
         main(SCAN + ["--workers", "2"])
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["--family", "A2", "--p", "2", "--m", "5", "--n", "4",
+      "--range", '{"a": [3]}'], True),
+    (["--family", "Deg9", "--p", "3", "--m", "1"], False),
+])
+def test_workers_fork_after_numpy_only_for_brute_force(tmp_path, argv, loaded):
+    # a tower within the brute-force bound needs tables in every worker, so
+    # the parent imports numpy once before they fork; without one it does not
+    code = (
+        "import sys\n"
+        "from cppforge import cli\n"
+        "seen = []\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append('numpy' in sys.modules)\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "    map = staticmethod(map)\n"
+        "cli.ProcessPoolExecutor = Pool\n"
+        f"cli.main(['scan', *{argv!r}, '--workers', '2', '--out', "
+        f"{str(tmp_path / 'r.json')!r}])\n"
+        "print(seen)\n")
+    src = str(Path(cppforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [f"[{loaded}]"]
+
+
 FIELD_INFO = ["field-info", "--p", "3", "--m", "2"]
 CONSTRUCT = ["construct", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
 

@@ -206,6 +206,34 @@ class TestBuildRows:
         n, rnd = p ** m, random.Random(2000)
         self._check(p, m, [(rnd.randrange(n), rnd.randrange(n)) for _ in range(2000)])
 
+    @pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (2, 4), (3, 2), (5, 2), (3, 5)])
+    def test_exp_log_lists_agree_with_tables(self, p, m):
+        F = mk_field(p, m)
+        bare = gf.Fq(p, m, F.modulus)
+        bare.ensure_tables()
+        assert F._exp_list == bare._exp.tolist() and F._log_list == bare._log.tolist()
+        for a in range(F.order):
+            for e in (0, 1, 2, p, F.order - 2, F.order, 10 ** 9 + 7):
+                assert F.pow_(a, e) == bare.pow_(a, e)
+
+    def test_small_field_scan_never_imports_numpy(self, tmp_path):
+        # numpy is for exp/log tables of brute force only; the import alone
+        # would be most of a short command's time and memory
+        code = (
+            "import sys\n"
+            "from cppforge.cli import main\n"
+            "from cppforge.gf import mk_field\n"
+            f"assert main(['scan', '--family', 'C', '--p', '3', '--m', '2', '--out', "
+            f"{str(tmp_path / 'c.json')!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+            "mk_field(3, 2).ensure_tables()\n"
+            "assert 'numpy' in sys.modules\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(gf.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+
 
 class TestFieldIsTowerOverPrime:
     """GF(p^m) as a field and as a tower over GF(p): one modulus, one arithmetic."""
