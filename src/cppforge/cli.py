@@ -7,13 +7,15 @@ Subcommands:
 * construct    build one family item from explicit parameters
 * classify     exhaustive octic/nonic classification over a field
 * scan         enumerate a family, cross-check predictions, verify witnesses
-* verify       re-verify a witness file produced by scan
+* verify       decide the witnesses of a file produced by scan again
 
 classify is scan under another name: both go through run_scan, and their
 reports differ only in config.command and timingSec.  Every such report
 lists the params of the good items (predicted good and confirmed by the
 goodness oracle) in goodShapes, in enumeration order.  Each subcommand
-accepts only the options it reads.
+accepts only the options it reads.  scan and verify decide each witness by
+cpp_core.cpp_verdict and report it alike: its rule and verdict, a mismatch
+named after the rule when it fails, and the passed ones in verifiedCpp.
 
 A scan builds each family item in the process that checks it, right before
 its check, through one function, _scan_chunk, whatever the worker count.
@@ -23,13 +25,14 @@ each process draws its chunk's items from enumerate_family one at a time and
 checks each with _scan_item before building the next.  The first brute force
 in a process builds the tower's exp/log tables there, so the items built
 after it use tabled tower multiplication; with --workers k > 1 the parent
-builds no item and no table, but imports numpy (which only tables need) when
-the tower fits the brute-force bound, so the forked workers share that
-import.  Results are merged in enumeration order.  An exception other than
-FieldError while building or checking one item becomes an internalErrors
-record and the scan goes on.  goodness runs once per equivalence class in
-each chunk (cpp_core.goodness_class: g up to c·g(c'x) and the coefficient
-Frobenius); the other items of the class reuse its verdict.
+builds no item and no table, but imports numpy (which only tables need, and
+every witness verdict needs tables) when a tower is given, so the forked
+workers share that import.  Results are merged in enumeration order.  An
+exception other than FieldError while building or checking one item becomes
+an internalErrors record and the scan goes on.  goodness runs once per
+equivalence class in each chunk (cpp_core.goodness_class: g up to c·g(c'x)
+and the coefficient Frobenius); the other items of the class reuse its
+verdict.
 
 Exit codes: 0 ok, 1 mismatches found, 2 configuration error, 3 internal
 error in at least one item (which takes precedence over 1).
@@ -46,7 +49,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from itertools import chain, repeat
 from typing import Optional
 
@@ -57,15 +60,15 @@ from .gf import (
     mk_field,
     mk_tower,
 )
-from .poly import Poly
 from .cpp_core import (
     VERIFIED_BRUTE,
+    VERIFIED_PERMUTATION,
     CppWitness,
     GoodnessReport,
     cpp_exponent,
+    cpp_verdict,
     goodness,
     goodness_class,
-    is_cpp_monomial,
     scalar_class_count,
     v_poly,
     witness_from_json,
@@ -125,11 +128,29 @@ class ScanReport:
         return 3 if self.internal_errors else 1 if self.mismatches else 0
 
 
+# the mismatch kind of a failed witness, by the rule that decided it
+_FAILURE_KINDS = {VERIFIED_BRUTE: "WitnessBruteForceFailure",
+                  VERIFIED_PERMUTATION: "WitnessCriterionFailure"}
+
+
+def _verdict_failures(witnesses: list) -> list:
+    """One mismatch record per witness whose CPM verdict failed."""
+    return [{"kind": _FAILURE_KINDS[w.verified], "params": w.params, "b": w.b}
+            for w in witnesses if w.passed is False]
+
+
+def _cpp_counts(witnesses: list) -> dict:
+    """verifiedCpp, the witnesses whose verdict passed under either rule, and
+    distinctCpp, their distinct b (several items may yield the same b)."""
+    passed = [(w.tower, w.b) for w in witnesses if w.passed]
+    return {"verifiedCpp": len(passed), "distinctCpp": len(set(passed))}
+
+
 def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
     """Check one enumerated item: its skip, or its verdicts and witnesses.
 
     A FamilyItem's prediction is cross-checked against goodness(); a good g
-    of degree n + 1 yields its witnesses, brute-forced within the bound, and
+    of degree n + 1 yields its witnesses, each with its cpp_verdict, and
     its predicted roots (when the family gives them) are compared with them.
     verdicts maps goodness_class keys to (is_good, reason): goodness() runs
     only for a key not in it, and an item whose class is there gets a report
@@ -139,7 +160,7 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
     if isinstance(item, FamilySkip):
         return {"skip": {"params": item.params.params, "reason": item.reason}}
     out = {"params": item.params.params, "witnesses": [], "mismatches": [],
-           "predicted": item.predicted_good, "good": False, "verified_cpp": 0}
+           "predicted": item.predicted_good, "good": False}
     key = goodness_class(item.g)
     hit = verdicts.get(key)
     if hit:
@@ -149,12 +170,9 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
         verdicts[key] = (rep.is_good, rep.reason)
     if rep.is_good != item.predicted_good:
         out["mismatches"].append({
-            "kind": "PredictionMismatch",
-            "params": item.params.params,
-            "predicted": item.predicted_good,
-            "oracle": rep.is_good,
-            "reason": rep.reason,
-        })
+            "kind": "PredictionMismatch", "params": item.params.params,
+            "predicted": item.predicted_good, "oracle": rep.is_good,
+            "reason": rep.reason})
         return out
     out["good"] = rep.is_good
     # deg g = n + 1 is the correspondence's precondition; for a good g it
@@ -167,19 +185,9 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
     if item.predicted_roots and item.predicted_roots[0].ctx is tower:
         pred = sorted(e.val for e in item.predicted_roots)
         if pred != sorted(w.b for w in ws):
-            out["mismatches"].append({
-                "kind": "PredictedRootMismatch",
-                "params": item.params.params,
-            })
-    for w in ws:
-        if w.verified == VERIFIED_BRUTE and not w.passed:
-            out["mismatches"].append({
-                "kind": "WitnessBruteForceFailure",
-                "params": item.params.params,
-                "b": w.b,
-            })
-        elif w.verified == VERIFIED_BRUTE:
-            out["verified_cpp"] += 1
+            out["mismatches"].append({"kind": "PredictedRootMismatch",
+                                      "params": item.params.params})
+    out["mismatches"].extend(_verdict_failures(ws))
     out["witnesses"] = ws
     return out
 
@@ -228,24 +236,17 @@ def run_scan(config: ScanConfig) -> ScanReport:
     t0 = time.time()
     base = mk_field(config.p, config.m)
     n = config.n
-    tower = None
-    if n is not None:
-        tower = mk_tower(base, n)
+    tower = mk_tower(base, n) if n is not None else None
     params = family_params(config.family, base, n, config.ranges)
-    counts = {"constructed": 0, "predictedGood": 0, "verifiedCpp": 0,
-              "refuted": 0, "skipped": 0}
-    witnesses: list = []
-    mismatches: list = []
-    skips: list = []
-    good_shapes: list = []
-    internal_errors: list = []
+    counts = {"constructed": 0, "predictedGood": 0, "refuted": 0, "skipped": 0}
+    witnesses, mismatches, skips, good_shapes, internal_errors = [], [], [], [], []
     size = max(1, math.ceil(len(params) / config.workers))
     chunks = [params[i:i + size] for i in range(0, len(params), size)]
     args = (_scan_chunk, chunks, repeat(base), repeat(tower), repeat(config.brute_bound))
     if config.workers == 1:
         parts = list(map(*args))
     else:
-        if tower is not None and tower.order <= config.brute_bound:
+        if tower is not None:
             import numpy  # noqa: F401  once, before the workers fork
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(*args))
@@ -264,14 +265,11 @@ def run_scan(config: ScanConfig) -> ScanReport:
             counts["predictedGood"] += 1
         else:
             counts["refuted"] += 1
-        counts["verifiedCpp"] += res["verified_cpp"]
         mismatches.extend(res["mismatches"])
         witnesses.extend(res["witnesses"])
     witnesses.sort(key=lambda w: (w.family, sorted(w.params.items()), w.b))
-    # several items may yield the same b; count each CPM b once
-    counts["distinctCpp"] = len({w.b for w in witnesses
-                                 if w.verified == VERIFIED_BRUTE and w.passed})
-    report = ScanReport(
+    counts.update(_cpp_counts(witnesses))
+    return ScanReport(
         config={"command": config.command, "p": config.p, "m": config.m, "n": n,
                 "family": config.family, "bruteBound": config.brute_bound,
                 "workers": config.workers},
@@ -280,16 +278,21 @@ def run_scan(config: ScanConfig) -> ScanReport:
         mismatches=mismatches,
         skips=skips,
         good_shapes=good_shapes,
-        scalar_classes=scalar_class_count(witnesses) if witnesses else 0,
+        scalar_classes=scalar_class_count(witnesses),
         timing_sec=round(time.time() - t0, 3),
         internal_errors=internal_errors,
     )
-    return report
 
 
 def verify_witness_file(path: str,
                         brute_bound: int = DEFAULT_BRUTE_BOUND) -> ScanReport:
-    """Re-verify each stored witness; out-of-bound towers get a criterion recheck."""
+    """Decide each stored witness again with cpp_verdict, as scan decides it.
+
+    Every witness that parses is listed, counted and reported with the rule
+    and verdict computed here, not those stored.  An unparsable record is a
+    ParseOrFieldMismatch, a stored d other than the tower's an
+    ExponentMismatch.  Raises ValueError when the witnesses are not a list.
+    """
     t0 = time.time()
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
@@ -300,59 +303,34 @@ def verify_witness_file(path: str,
         records, parse = _csv_records(text), _witness_from_csv_record
     else:
         obj = json.loads(text)
-        records = obj["witnesses"] if isinstance(obj, dict) else obj
-    mismatches = []
-    witnesses = []
-    count_ok = 0
+        records = obj.get("witnesses") if isinstance(obj, dict) else obj
+        if not isinstance(records, list):
+            raise ValueError(f"{path}: the witnesses are not a JSON list")
+    mismatches, witnesses = [], []
     for rec in records:
         try:
             w = parse(rec)
         except (FieldError, KeyError, ValueError) as err:
             mismatches.append({"kind": "ParseOrFieldMismatch", "detail": str(err)})
             continue
-        witnesses.append(w)
         d = cpp_exponent(w.tower)
         if d != w.d:
             mismatches.append({"kind": "ExponentMismatch", "b": w.b,
                                "stored": w.d, "actual": d})
-            continue
-        if math.gcd(d, w.tower.order - 1) != 1:
-            mismatches.append({"kind": "GcdViolation", "b": w.b})
-            continue
-        if w.tower.order <= brute_bound:
-            if not is_cpp_monomial(w.b, w.tower, brute_bound):
-                mismatches.append({"kind": "WitnessBruteForceFailure", "b": w.b})
-            else:
-                count_ok += 1
-        else:
-            # criterion recheck: b must be a root of some good minimal polynomial
-            from .poly import char_poly_of
-            from .gf import FqElem
-            A = char_poly_of(FqElem(w.tower, w.b), w.tower)
-            coeffs = []
-            sign = 1
-            for i in range(w.tower.n + 1):
-                a = A[w.tower.n - i].val
-                coeffs.append(a if sign == 1 else w.tower.base.neg(a))
-                sign = -sign
-            gb = Poly(w.tower.base, [0] + coeffs[::-1])
-            rep = goodness(gb) if gb.degree >= 2 else None
-            if rep is None or not rep.is_good:
-                mismatches.append({"kind": "CriterionRecheckFailure", "b": w.b})
-            else:
-                count_ok += 1
-    report = ScanReport(
+        verified, passed = cpp_verdict(w.b, w.tower, brute_bound)
+        witnesses.append(replace(w, verified=verified, passed=passed))
+        mismatches.extend(_verdict_failures(witnesses[-1:]))
+    return ScanReport(
         config={"command": "verify", "path": path, "bruteBound": brute_bound},
         counts={"constructed": len(witnesses), "predictedGood": 0,
-                "verifiedCpp": count_ok, "refuted": 0, "skipped": 0},
+                "refuted": 0, "skipped": 0, **_cpp_counts(witnesses)},
         witnesses=witnesses,
         mismatches=mismatches,
         skips=[],
         good_shapes=[],
-        scalar_classes=scalar_class_count(witnesses) if witnesses else 0,
+        scalar_classes=scalar_class_count(witnesses),
         timing_sec=round(time.time() - t0, 3),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ single Frobenius orbit; such g are called good.  This module provides:
   exp table, and the values come zero first, then row by row;
 * the Frobenius orbit sizes of the roots of a polynomial, from the same
   split;
+* the CPM verdict of a witness b (`cpp_verdict`), the one place it is
+  decided: the brute force where the tower fits its tables, otherwise the
+  criterion that G_b(t) = t·prod_i (t + b^(q^i)) permutes GF(q);
 * the witness elements b of a good g: one root of the radical of v_g located
-  in the tower, the rest its Frobenius orbit, and one brute force per orbit,
+  in the tower, the rest its Frobenius orbit, and one verdict per orbit,
   since being a CPM is invariant under x -> x^q;
 * the scaling normalisation h(x) = c g(c' x) + e.
 """
@@ -41,6 +44,7 @@ from .gf import (
     FieldError,
     FieldTooLarge,
     FqElem,
+    HARD_BRUTE_CAP,
     Tower,
     as_int,
     mk_tower,
@@ -48,6 +52,7 @@ from .gf import (
 from .poly import (
     ConstantPolynomial,
     Poly,
+    char_poly_of,
     one_root,
     orbit_parts,
     orbit_split,
@@ -212,18 +217,16 @@ def is_cpp_monomial(b, tower: Tower,
 
     d is the reduced exponent (q^n - 1)/(q - 1) + 1.  True iff
     gcd(d, q^n - 1) = 1 and x -> b^(-1) x^d + x is injective on the tower.
+    Past the brute bound or a table cap, raises FieldTooLarge after the gcd.
     """
     bval = as_int(b)
     if isinstance(b, FqElem) and b.ctx is not tower:
         raise ContextMismatch("witness lives in a different context")
     if bval == 0:
         raise ZeroCoefficient("witness coefficient must be nonzero")
-    n1 = tower.order - 1
     d = cpp_exponent(tower)
-    if math.gcd(d, n1) != 1:
+    if math.gcd(d, tower.order - 1) != 1:
         return False
-    if tower.order > brute_bound:
-        raise FieldTooLarge(f"|F| = {tower.order} exceeds brute bound {brute_bound}")
     binv = tower.inv(bval)
     vals = _eval_all_sparse(tower, {d: binv, 1: 1}, brute_bound)
     return _is_injective_values(vals, tower.order)
@@ -379,7 +382,34 @@ def orbit_structure(f: Poly) -> list:
 
 
 VERIFIED_BRUTE = "BruteForce"
+VERIFIED_PERMUTATION = "Permutation"
 VERIFIED_CRITERION = "CriterionOnly"
+
+
+def cpp_verdict(b: int, tower: Tower,
+                brute_bound: int = DEFAULT_BRUTE_BOUND) -> tuple:
+    """Whether b^(-1) x^d is a CPM of the tower, as (rule, passed).
+
+    is_cpp_monomial decides where the tower fits it, and gcd(d, q^n - 1) > 1
+    at any size (VERIFIED_BRUTE).  Otherwise the criterion decides
+    (VERIFIED_PERMUTATION): with N(x) = x^((q^n-1)/(q-1)), b^(-1) x^d + x =
+    x·(1 + N(x)/b) permutes the tower iff x·N(1 + x/b) permutes GF(q) (the
+    x·h(x^s) criterion; Park–Lee 2001, Zieve 2009), that is iff
+    G_b(t) = t·prod_i (t + b^(q^i)) does; the product's coefficients are
+    `char_poly_of(b)`.  G_b is evaluated up to the table cap whatever
+    brute_bound is; past it (only for n = 1 or a raised field bound) the
+    verdict is (VERIFIED_CRITERION, None).
+    """
+    try:
+        return VERIFIED_BRUTE, is_cpp_monomial(b, tower, brute_bound)
+    except FieldTooLarge:
+        pass
+    sym = char_poly_of(FqElem(tower, b), tower)
+    gb = Poly(tower.base, [0] + [a.val for a in reversed(sym)])
+    try:
+        return VERIFIED_PERMUTATION, is_permutation(gb, brute_bound=HARD_BRUTE_CAP)
+    except FieldTooLarge:
+        return VERIFIED_CRITERION, None
 
 
 @dataclass(frozen=True)
@@ -461,10 +491,8 @@ def witnesses_from_good(g: Poly, tower: Tower,
         sigma∘(b^(-1) x^d + x)∘sigma^(-1) = sigma(b)^(-1) x^d + x,
 
     and a permutation conjugated by a field automorphism is a permutation
-    (likewise for b^(-1) x^d).  So only rho is brute-forced, whenever the
-    tower is within the brute-force bound, and its verdict labels every
-    conjugate.  Otherwise, also when the brute force raises FieldTooLarge for
-    a table it cannot build, the witnesses are marked criterion-only.
+    (likewise for b^(-1) x^d).  So only rho is decided (`cpp_verdict`), and
+    its rule and verdict label every conjugate.
 
     Raises, checked in this order: NotGood when g is not good,
     OrbitSizeDoesNotDivideN when s does not divide n, DegreeNotNPlusOne
@@ -487,16 +515,9 @@ def witnesses_from_good(g: Poly, tower: Tower,
     orbit = tower.orbit(rho)
     if len(orbit) != s:
         raise OrbitSizeMismatch(f"root orbit has {len(orbit)} elements, not {s}")
-    verified, ok = VERIFIED_CRITERION, None
-    if tower.order <= brute_bound:
-        try:
-            ok = is_cpp_monomial(rho, tower, brute_bound)
-            verified = VERIFIED_BRUTE
-        except FieldTooLarge:
-            pass    # an evaluation table the brute force needs is over its cap
+    verdict = cpp_verdict(rho, tower, brute_bound)
     params = dict(params or {})
-    return [CppWitness(tower, d, b, family, params, verified, ok)
-            for b in sorted(orbit)]
+    return [CppWitness(tower, d, b, family, params, *verdict) for b in sorted(orbit)]
 
 
 def scalar_class_count(witnesses: list) -> int:

@@ -32,6 +32,7 @@ from typing import Iterable, Optional
 
 from .gf import (
     FieldError,
+    FieldTooLarge,
     Fq,
     FqElem,
     Tower,
@@ -347,30 +348,40 @@ def construct_b(base: Fq, r: int, a, e) -> FamilyItem:
     tail = base.mul(e, base.pow_(base.sub(base.pow_(e, r), a), k))
     g = s * (s ** r - Poly.constant(base, a)) ** k - Poly.constant(base, tail)
     params = FamilyParams("B", n, {"r": r, "a": a, "e": e})
-    top = mk_tower(base, n)
     if e == 0:
-        j = _dlog(base, a)
-        predicted = math.gcd(r, j) == 1
-        roots = None
-        if predicted:
-            rs = roots_in(Poly(base, [base.neg(a)] + [0] * (r - 1) + [1]), top)
-            roots = tuple(FqElem(top, top.neg(rho.val)) for rho, _ in rs)
-        return FamilyItem(params, g, predicted, roots)
-    norm = base.pow_(base.div(a, base.pow_(e, r)), (q - 1) // (p - 1))
-    assert norm < p  # lands in the prime field
-    ordv, cur = 1, norm
-    while cur != 1:
-        cur = cur * norm % p
-        ordv += 1
-    predicted = ordv == p - 1
-    roots = None
-    if predicted:
-        u0 = roots_in(Poly(base, [base.neg(a)] + [0] * (p - 2) + [1]), top)[0][0].val
-        v0 = roots_in(Poly(base, [base.neg(e)] + [0] * (k - 1) + [1]), top)[0][0].val
-        vals = {top.sub(top.pow_(top.sub(v0, top.mul(lam, u0)), k), e)
-                for lam in range(1, p)}
-        roots = tuple(FqElem(top, v) for v in sorted(vals))
+        predicted = math.gcd(r, _dlog(base, a)) == 1
+    else:
+        norm = base.pow_(base.div(a, base.pow_(e, r)), (q - 1) // (p - 1))
+        assert norm < p  # lands in the prime field
+        ordv, cur = 1, norm
+        while cur != 1:
+            cur = cur * norm % p
+            ordv += 1
+        predicted = ordv == p - 1
+    roots = _b_predicted_roots(base, r, a, e) if predicted else None
     return FamilyItem(params, g, predicted, roots)
+
+
+def _b_predicted_roots(base: Fq, r: int, a: int, e: int) -> Optional[tuple]:
+    """The predicted roots of v_g for a B item predicted good, in GF(q^(p-1)).
+
+    None when that tower is past the field bound: it is built only to
+    express these roots, and the verdict needs none.
+    """
+    p, n = base.p, base.p - 1
+    k = n // r
+    try:
+        top = mk_tower(base, n)
+    except FieldTooLarge:
+        return None
+    if e == 0:
+        rs = roots_in(Poly(base, [base.neg(a)] + [0] * (r - 1) + [1]), top)
+        return tuple(FqElem(top, top.neg(rho.val)) for rho, _ in rs)
+    u0 = roots_in(Poly(base, [base.neg(a)] + [0] * (p - 2) + [1]), top)[0][0].val
+    v0 = roots_in(Poly(base, [base.neg(e)] + [0] * (k - 1) + [1]), top)[0][0].val
+    vals = {top.sub(top.pow_(top.sub(v0, top.mul(lam, u0)), k), e)
+            for lam in range(1, p)}
+    return tuple(FqElem(top, v) for v in sorted(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -107,18 +107,35 @@ def _order_too_large(q: int, n: int) -> bool:
     return b * n > bits and q ** n > 1 << bits
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2..41.
+
+    Exact for n < 3317044064679887385961981 (about 3.3·10^24), the least
+    strong pseudoprime to all thirteen bases (Sorenson & Webster 2015);
+    above that a composite could pass.  Takes O(log n) modular squarings
+    per base, so huge p are cheap to test.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -593,7 +610,6 @@ def mk_field(p: int, m: int) -> Fq:
         raise DegreeZero("extension degree must be >= 1")
     if p < 2:
         raise NotPrime(f"{p} is not prime")
-    # the bound first: is_prime is trial division, minutes long for p near 10^18
     if _order_too_large(p, m):
         raise FieldTooLarge(f"{p}^{m} exceeds the configured field bound")
     if not is_prime(p):

@@ -171,6 +171,58 @@ class TestFamilyBRootMismatch:
         assert [m["kind"] for m in report.mismatches] == ["PredictedRootMismatch"]
 
 
+class TestFamilyBPastTheTower:
+    def test_gf11_items_get_verdicts(self):
+        # GF(11^10) is past the field bound; the B items need it only for
+        # their predicted roots, so none is skipped as FieldTooLarge
+        report = run_scan(ScanConfig("scan", p=11, family="B"))
+        assert report.counts["constructed"] == 242
+        assert {s["reason"] for s in report.skips} == {"ExceptionalityViolated"}
+        assert report.mismatches == []
+
+
+class TestVerdictRules:
+    """scan and verify decide each witness by cpp_verdict and report it alike."""
+
+    # GF(16) with n = 1: g = x^2 + zeta x is good but does not permute GF(16)
+    D2_SCAN = ["scan", "--p", "2", "--m", "4", "--family", "D_lin2", "--n", "1"]
+
+    @staticmethod
+    def _verdicts(report: dict) -> list:
+        return [(w["verified"], w["passed"]) for w in report["witnesses"]]
+
+    def test_d2_witness_fails_the_criterion(self, tmp_path):
+        # G_b = t (t + b) vanishes at 0 and b, so it is no permutation of GF(16)
+        path, out = tmp_path / "d2.json", tmp_path / "verify.json"
+        assert main(self.D2_SCAN + ["--out", str(path)]) == 1
+        assert main(["verify", str(path), "--brute-bound", "8", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [m["kind"] for m in report["mismatches"]] == ["WitnessCriterionFailure"]
+        assert self._verdicts(report) == [("Permutation", False)]
+        assert report["counts"]["verifiedCpp"] == report["counts"]["distinctCpp"] == 0
+
+    def test_verify_reports_its_own_verdict(self, tmp_path):
+        # the file claims a passed brute force; verify lists and counts its own
+        path, out = tmp_path / "d2.json", tmp_path / "verify.json"
+        assert main(self.D2_SCAN + ["--out", str(path)]) == 1
+        obj = json.loads(path.read_text())
+        obj["witnesses"] = [dict(w, passed=True) for w in obj["witnesses"]]
+        path.write_text(json.dumps(obj))
+        assert main(["verify", str(path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [m["kind"] for m in report["mismatches"]] == ["WitnessBruteForceFailure"]
+        assert self._verdicts(report) == [("BruteForce", False)]
+        assert report["counts"]["verifiedCpp"] == 0
+
+    def test_scan_past_the_bound_decides_by_the_criterion(self, tmp_path):
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--family", "A1", "--p", "2", "--m", "3", "--n", "4",
+                     "--brute-bound", "8", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(self._verdicts(report)) == {("Permutation", True)}
+        assert report["counts"]["verifiedCpp"] == len(report["witnesses"]) == 28
+
+
 class TestWitnessFileRoundTrip:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_scan_then_verify(self, tmp_path, fmt):
@@ -244,8 +296,8 @@ class TestMalformedWitness:
         assert report["counts"]["verifiedCpp"] == 1
 
     def test_huge_prime_p(self, tmp_path):
-        # 10^18 + 3 is prime: the field bound rejects it before any primality
-        # test by trial division, which takes minutes; run apart, with a timeout
+        # 10^18 + 3 is prime and past the field bound, which rejects it; run
+        # apart, with a timeout
         path = tmp_path / "witnesses.json"
         assert main(self.SCAN + ["--out", str(path)]) == 0
         good = json.loads(path.read_text())["witnesses"][0]
@@ -300,6 +352,15 @@ def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("text", ['{"witnesses": 5}', "5"],
+                         ids=["witnesses-an-int", "file-an-int"])
+def test_witness_list_not_a_list_is_a_config_error(text, tmp_path, capsys):
+    path = tmp_path / "witnesses.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_witness_csv_row_with_a_bad_field_is_a_mismatch(tmp_path, capsys):
     # a CSV row stands for a JSON record, and a record with p = 6 is a
     # ParseOrFieldMismatch of its own, not a config error for the whole run
@@ -328,8 +389,9 @@ def test_os_error_without_a_path_propagates(monkeypatch):
     (["--family", "Deg9", "--p", "3", "--m", "1"], False),
 ])
 def test_workers_fork_after_numpy_only_for_brute_force(tmp_path, argv, loaded):
-    # a tower within the brute-force bound needs tables in every worker, so
-    # the parent imports numpy once before they fork; without one it does not
+    # a tower needs tables in every worker (the brute force, or G_b over
+    # GF(q)), so the parent imports numpy once before they fork; without one
+    # it does not
     code = (
         "import sys\n"
         "from cppforge import cli\n"

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cppforge import cpp_core, gf, poly
 from cppforge.families import FamilyItem, construct_c, enumerate_family, family_params
@@ -23,6 +23,7 @@ from cppforge.cpp_core import (
     _is_injective_values,
     cpp_exponent,
     cpp_normalize,
+    cpp_verdict,
     goodness,
     goodness_class,
     is_cpp_monomial,
@@ -148,6 +149,42 @@ class TestCppMonomial:
         assert _is_injective_values(vals, 64)
         vals[40] = vals[3]
         assert not _is_injective_values(vals, 64)
+
+
+class TestCppVerdict:
+    """cpp_verdict: brute force within the bound, else G_b over GF(q)."""
+
+    # the 24 towers of order <= 625 are few enough for hypothesis to draw
+    # them all; a G_b with its coefficients reversed passes on all but
+    # GF(4^3) and GF(5^4)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(p=st.sampled_from([2, 3, 5, 7]), m=st.integers(1, 2), n=st.integers(1, 4))
+    def test_criterion_equals_brute_force_on_every_unit(self, p, m, n):
+        # a brute bound of 1 sends every unit with gcd(d, q^n - 1) = 1 to the
+        # criterion; the others are decided by the gcd alone
+        assume(p ** (m * n) <= 625)
+        t = mk_tower(mk_field(p, m), n)
+        coprime = math.gcd(cpp_exponent(t), t.order - 1) == 1
+        for b in t.units():
+            rule, passed = cpp_verdict(b, t, brute_bound=1)
+            assert rule == ("Permutation" if coprime else "BruteForce")
+            assert passed == is_cpp_monomial(b, t)
+
+    def test_brute_force_within_the_bound(self):
+        assert cpp_verdict(9, T25) == ("BruteForce", True)
+        assert cpp_verdict(1, T25) == ("BruteForce", False)
+
+    def test_criterion_only_past_the_tables_of_gf_q(self, monkeypatch):
+        # n = 1 (d = 2, coprime to q - 1 for even q only): the tower is GF(q)
+        # itself, so with GF(16) over the table cap neither the brute force
+        # nor G_b can be evaluated
+        f16 = mk_field(2, 4)
+        t = mk_tower(f16, 1)
+        for ctx in (t, f16):
+            for name in ("_exp", "_log", "_rows"):
+                monkeypatch.setattr(ctx, name, None)
+        monkeypatch.setattr(gf, "HARD_BRUTE_CAP", f16.order - 1)
+        assert cpp_verdict(2, t) == ("CriterionOnly", None)
 
 
 class TestRowLayout:
@@ -378,9 +415,11 @@ class TestWitnesses:
             assert t4.frobenius(w.b, 2) == w.b
             assert w.verified == "BruteForce" and w.passed
 
-    def test_brute_force_over_its_table_cap_is_criterion_only(self, monkeypatch):
-        # odd-p brute force needs the digit matrix; over its cap the witnesses
-        # keep the criterion verdict instead of raising
+    def test_brute_force_over_its_table_cap_is_decided_by_the_criterion(self, monkeypatch):
+        # odd-p brute force needs the digit matrix; over its cap the criterion
+        # decides: b^2 = 3 and b^5 = -b, so the conjugates are b, -b, b, -b and
+        # G_b = t (t^2 - b^2)^2 = g, which permutes GF(5) (0, 4, 2, 3, 1 at
+        # 0..4); gcd(157, 624) = 1
         g = Poly(F5, [0, 4, 0, 4, 0, 1])
         t4 = mk_tower(F5, 4)
         monkeypatch.setattr(t4, "_digmat", None)
@@ -389,7 +428,7 @@ class TestWitnesses:
             is_cpp_monomial(25, t4)
         ws = witnesses_from_good(g, t4)
         assert sorted(w.b for w in ws) == [25, 100]
-        assert all(w.verified == "CriterionOnly" and w.passed is None for w in ws)
+        assert all(w.verified == "Permutation" and w.passed for w in ws)
 
     def test_not_good_rejected(self):
         with pytest.raises(NotGood):

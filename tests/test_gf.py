@@ -1,5 +1,6 @@
 """Field contexts, arithmetic, and the named maps."""
 
+import math
 import os
 import pickle
 import random
@@ -130,8 +131,8 @@ class TestMkField:
             mk_field(2, 64)
 
     def test_bound_before_primality(self):
-        # 10^18 + 3 is prime, and trial division up to 10^9 takes minutes;
-        # run apart, with a timeout
+        # 10^18 + 3 is prime and past the default field bound; run apart,
+        # with a timeout
         code = ("from cppforge import gf\n"
                 "try:\n    gf.mk_field(10 ** 18 + 3, 1)\n"
                 "except gf.FieldTooLarge:\n    print('FieldTooLarge')")
@@ -436,6 +437,33 @@ class TestPrimitiveAndRoots:
         z = root_of_unity(F5, 3, extend=True)
         assert z.ctx is F25
         assert F25.pow_(z.val, 3) == 1 and z.val != 1
+
+
+class TestIsPrime:
+    def test_matches_trial_division_up_to_1e5(self):
+        def by_trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert all(gf.is_prime(n) == by_trial(n) for n in range(10 ** 5 + 1))
+
+    @pytest.mark.parametrize("n, factors", [
+        (3215031751, (151, 751, 28351)),
+        (3825123056546413051, (149491, 747451, 34233211))])
+    def test_strong_pseudoprimes_are_composite(self, n, factors):
+        # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+        assert math.prod(factors) == n
+        assert not gf.is_prime(n)
+
+    def test_huge_prime_field_is_built_at_once(self):
+        # 10^18 + 3 is prime; with the field bound raised mk_field builds
+        # GF(10^18 + 3), which by trial division took minutes
+        code = ("from cppforge import gf\n"
+                "print(gf.mk_field(10 ** 18 + 3, 1).order)")
+        env = dict(os.environ, CPPFORGE_MAX_FIELD_BITS="64",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(gf.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=30).stdout
+        assert out.strip() == str(10 ** 18 + 3)
 
 
 class TestOrdMod:
