@@ -70,6 +70,7 @@ from .families import (
     FamilyItem,
     FamilyParams,
     FamilySkip,
+    predicted_roots,
 )
 
 __version__ = "0.1.0"

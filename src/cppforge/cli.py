@@ -22,8 +22,11 @@ its check, through one function, _scan_chunk, whatever the worker count.
 The parent computes only the family's parameter list (family_params) and
 splits it into one contiguous chunk per worker, one chunk for --workers 1;
 each process draws its chunk's items from enumerate_family one at a time and
-checks each with _scan_item before building the next.  The first brute force
-in a process builds the tower's exp/log tables there, so the items built
+checks each with _scan_item before building the next.  Building an item
+decides its family's verdict over GF(q); the scan owns the tower, and the
+roots that A1, A2 and B predict are expressed in it only for an item whose
+witnesses are there to compare them with.  The first brute force in a
+process builds the tower's exp/log tables there, so the root comparisons
 after it use tabled tower multiplication; with --workers k > 1 the parent
 builds no item and no table, but imports numpy (which only tables need, and
 every witness verdict needs tables) when a tower is given, so the forked
@@ -74,7 +77,7 @@ from .cpp_core import (
     witness_from_json,
     witnesses_from_good,
 )
-from .families import FamilySkip, enumerate_family, family_params
+from .families import FamilySkip, enumerate_family, family_params, predicted_roots
 
 
 @dataclass
@@ -150,8 +153,9 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
     """Check one enumerated item: its skip, or its verdicts and witnesses.
 
     A FamilyItem's prediction is cross-checked against goodness(); a good g
-    of degree n + 1 yields its witnesses, each with its cpp_verdict, and
-    its predicted roots (when the family gives them) are compared with them.
+    of degree n + 1 yields its witnesses, each with its cpp_verdict.  Only
+    then are the roots its family predicts (families.predicted_roots, for
+    A1, A2 and B) expressed in the scan's tower and compared with them.
     verdicts maps goodness_class keys to (is_good, reason): goodness() runs
     only for a key not in it, and an item whose class is there gets a report
     with that verdict and its own g and v_g (its radical is computed on
@@ -182,11 +186,10 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
     ws = witnesses_from_good(item.g, tower, brute_bound,
                              family=item.params.tag,
                              params=dict(item.params.params), report=rep)
-    if item.predicted_roots and item.predicted_roots[0].ctx is tower:
-        pred = sorted(e.val for e in item.predicted_roots)
-        if pred != sorted(w.b for w in ws):
-            out["mismatches"].append({"kind": "PredictedRootMismatch",
-                                      "params": item.params.params})
+    pred = predicted_roots(item.params, tower)
+    if pred is not None and pred != sorted(w.b for w in ws):
+        out["mismatches"].append({"kind": "PredictedRootMismatch",
+                                  "params": item.params.params})
     out["mismatches"].extend(_verdict_failures(ws))
     out["witnesses"] = ws
     return out
@@ -468,7 +471,7 @@ def _run(args: argparse.Namespace) -> int:
         return report.exit_code
     if args.command == "field-info":
         base = mk_field(args.p, args.m)
-        desc = mk_tower(base, args.n).describe() if args.n else base.describe()
+        desc = (mk_tower(base, args.n) if args.n is not None else base).describe()
         print(json.dumps(desc, indent=2, sort_keys=True))
         return 0
     ranges = json.loads(args.range)

@@ -1,10 +1,13 @@
 """Constructors and goodness predicates for the explicit families.
 
-Each constructor builds a candidate good polynomial g over GF(q), returns the
-predicted goodness verdict from the family's closed-form criterion, and, when
-the prediction is positive, the predicted roots of v_g located in the tower
-GF(q^n).  Predictions never consult the generic goodness test, so the two
-can be cross-checked against each other.
+Each constructor builds a candidate good polynomial g over GF(q) and decides
+the family's closed-form goodness criterion for it over GF(q).  Predictions
+never consult the generic goodness test, so the two can be cross-checked
+against each other.  A constructor builds a tower only where its verdict
+needs one: the char-2 trace criterion of A2 and the orbit test of the general
+D shape.  predicted_roots expresses the roots of v_g that A1, A2 and B
+predict in a tower the caller already has; the scan asks for them in its own
+tower, and only for an item that has witnesses to compare them with.
 
 Families:
 
@@ -32,7 +35,6 @@ from typing import Iterable, Optional
 
 from .gf import (
     FieldError,
-    FieldTooLarge,
     Fq,
     FqElem,
     Tower,
@@ -147,7 +149,6 @@ class FamilyItem:
     params: FamilyParams
     g: Poly
     predicted_good: bool
-    predicted_roots: Optional[tuple] = None   # FqElem tuple, when predicted good
 
 
 @dataclass(frozen=True)
@@ -160,25 +161,18 @@ def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-@dataclass(frozen=True)
-class DicksonSplitData:
-    i: int
-    alpha: FqElem
-    beta: FqElem
-
-
 def dickson_split_data(tower: Tower, n: int) -> list:
-    """alpha_i = z^i + z^-i and beta_i = z^i - z^-i for z of order n+1."""
+    """(alpha_i, beta_i) = (z^i + z^-i, z^i - z^-i), i = 1..n/2, for z of order n+1."""
     z = root_of_unity(tower, n + 1).val
     out = []
     zi = 1
-    for i in range(1, n // 2 + 1):
+    for _ in range(n // 2):
         zi = tower.mul(zi, z)
         zinv = tower.inv(zi)
         alpha = tower.add(zi, zinv)
         beta = tower.sub(zi, zinv)
         assert tower.mul(alpha, alpha) == tower.add(tower.mul(beta, beta), 4 % tower.p)
-        out.append(DicksonSplitData(i, FqElem(tower, alpha), FqElem(tower, beta)))
+        out.append((alpha, beta))
     return out
 
 
@@ -198,20 +192,7 @@ def construct_a1(base: Fq, n: int, e) -> FamilyItem:
         raise ZeroShift("shift e must be nonzero")
     x = Poly.x(base)
     g = x.shift(e) ** (n + 1) - Poly.constant(base, base.pow_(e, n + 1))
-    k = ord_mod(q, n + 1)
-    predicted = k == n
-    params = FamilyParams("A1", n, {"e": e})
-    roots = None
-    if predicted:
-        top = mk_tower(base, n)
-        z = root_of_unity(top, n + 1).val
-        vals = set()
-        zi = 1
-        for _ in range(n):
-            zi = top.mul(zi, z)
-            vals.add(top.neg(top.mul(e, top.sub(zi, 1))))
-        roots = tuple(FqElem(top, v) for v in sorted(vals))
-    return FamilyItem(params, g, predicted, roots)
+    return FamilyItem(FamilyParams("A1", n, {"e": e}), g, ord_mod(q, n + 1) == n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,50 +238,38 @@ def construct_a2(base: Fq, n: int, a, e) -> FamilyItem:
             traces = _a2_char2_traces(base, n, a, e)
             predicted = traces[0] == 1
             assert all(t == traces[0] for t in traces)
-    roots = None
-    if predicted:
-        roots = tuple(_a2_predicted_roots(base, n, a, e, disc))
-    return FamilyItem(params, g, predicted, roots)
+    return FamilyItem(params, g, predicted)
 
 
-def _a2_split(base: Fq, n: int):
-    top = mk_tower(base, n)
-    return top, dickson_split_data(top, n)
-
-
-def _a2_predicted_roots(base: Fq, n: int, a: int, e: int, disc: int) -> list:
-    """Roots of v_g from the quadratic factors x^2 + e(a_i-2)x + (a_i-2)((a_i+2)a - e^2)."""
-    top, split = _a2_split(base, n)
-    p = base.p
+def _a2_roots(top: Tower, a: int, e: int) -> list:
+    """Sorted roots in top = GF(q^n) of the factors of v_g,
+    x^2 + e(alpha_i - 2)x + (alpha_i - 2)((alpha_i + 2)a - e^2)."""
+    p = top.p
+    disc = top.sub(top.mul(e, e), top.mul(4 % p, a))  # e^2 - 4a
     vals = set()
-    for dat in split:
-        alpha = dat.alpha.val
+    for alpha, beta in dickson_split_data(top, top.n):
         if p != 2:
-            beta = dat.beta.val
-            am2 = top.sub(alpha, 2 % p)
-            under = top.mul(top.mul(beta, beta), disc)
-            s = sqrt_in(top, under)
+            s = sqrt_in(top, top.mul(top.mul(beta, beta), disc))
             assert s is not None
             half = top.inv(2 % p)
-            t0 = top.mul(e, am2)
+            t0 = top.mul(e, top.sub(alpha, 2 % p))
             vals.add(top.neg(top.mul(half, top.add(t0, s))))
             vals.add(top.neg(top.mul(half, top.sub(t0, s))))
         else:
             a1 = FqElem(top, top.mul(e, alpha))
             a0 = FqElem(top, top.mul(alpha, top.add(top.mul(alpha, a), top.mul(e, e))))
-            for r in solve_quadratic(FqElem(top, 1), a1, a0):
-                vals.add(r.val)
-    return [FqElem(top, v) for v in sorted(vals)]
+            vals.update(r.val for r in solve_quadratic(FqElem(top, 1), a1, a0))
+    return sorted(vals)
 
 
 def _a2_char2_traces(base: Fq, n: int, a: int, e: int) -> list:
     """Subfield absolute traces of delta_i = 1/alpha_i + a/e^2, one per i."""
-    top, split = _a2_split(base, n)
+    top = mk_tower(base, n)
     k2 = top.deg_over_prime // 2
     shift = top.div(a, top.mul(e, e))
     out = []
-    for dat in split:
-        delta = top.add(top.inv(dat.alpha.val), shift)
+    for alpha, _ in dickson_split_data(top, n):
+        delta = top.add(top.inv(alpha), shift)
         assert top.pow_(delta, 2 ** k2) == delta  # lies in GF(q^(n/2))
         acc = cur = delta
         for _ in range(k2 - 1):
@@ -312,12 +281,9 @@ def _a2_char2_traces(base: Fq, n: int, a: int, e: int) -> list:
 
 
 def _a2_char2_e0_single_orbit(base: Fq, n: int, a: int) -> bool:
-    top, split = _a2_split(base, n)
-    roots = set()
-    for dat in split:
-        alpha = dat.alpha.val
-        roots.add(sqrt_in(top, top.mul(top.mul(alpha, alpha), a)))
-    return top.orbit(next(iter(roots))) == roots
+    top = mk_tower(base, n)
+    roots = _a2_roots(top, a, 0)
+    return top.orbit(roots[0]) == set(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +291,8 @@ def _a2_char2_e0_single_orbit(base: Fq, n: int, a: int) -> bool:
 
 
 def _dlog(base: Fq, a: int) -> int:
+    if base._log_list is not None:
+        return base._log_list[a]
     base.ensure_tables()
     return int(base._log[a])
 
@@ -358,30 +326,43 @@ def construct_b(base: Fq, r: int, a, e) -> FamilyItem:
             cur = cur * norm % p
             ordv += 1
         predicted = ordv == p - 1
-    roots = _b_predicted_roots(base, r, a, e) if predicted else None
-    return FamilyItem(params, g, predicted, roots)
+    return FamilyItem(params, g, predicted)
 
 
-def _b_predicted_roots(base: Fq, r: int, a: int, e: int) -> Optional[tuple]:
-    """The predicted roots of v_g for a B item predicted good, in GF(q^(p-1)).
-
-    None when that tower is past the field bound: it is built only to
-    express these roots, and the verdict needs none.
-    """
-    p, n = base.p, base.p - 1
-    k = n // r
-    try:
-        top = mk_tower(base, n)
-    except FieldTooLarge:
-        return None
+def _b_roots(top: Tower, r: int, a: int, e: int) -> list:
+    """Sorted roots of v_g predicted for a B item, in top = GF(q^(p-1))."""
+    base, p = top.base, top.p
+    k = (p - 1) // r
     if e == 0:
         rs = roots_in(Poly(base, [base.neg(a)] + [0] * (r - 1) + [1]), top)
-        return tuple(FqElem(top, top.neg(rho.val)) for rho, _ in rs)
+        return sorted(top.neg(rho.val) for rho, _ in rs)
     u0 = roots_in(Poly(base, [base.neg(a)] + [0] * (p - 2) + [1]), top)[0][0].val
     v0 = roots_in(Poly(base, [base.neg(e)] + [0] * (k - 1) + [1]), top)[0][0].val
-    vals = {top.sub(top.pow_(top.sub(v0, top.mul(lam, u0)), k), e)
-            for lam in range(1, p)}
-    return tuple(FqElem(top, v) for v in sorted(vals))
+    return sorted({top.sub(top.pow_(top.sub(v0, top.mul(lam, u0)), k), e)
+                   for lam in range(1, p)})
+
+
+def predicted_roots(fp: FamilyParams, tower: Tower) -> Optional[list]:
+    """The sorted encodings in tower of the roots of v_g that A1, A2 or B
+    predicts for an item predicted good; None for every other family.
+
+    tower is GF(q^n) with n = fp.n, where the roots of v_g lie when g is
+    good.  The verdicts need none of this: construct_* decide over GF(q).
+    """
+    v, n = fp.params, fp.n
+    if fp.tag == "A1":
+        # the roots -e(z^i - 1), i = 1..n, for z of order n+1
+        z = root_of_unity(tower, n + 1).val
+        vals, zi = set(), 1
+        for _ in range(n):
+            zi = tower.mul(zi, z)
+            vals.add(tower.neg(tower.mul(v["e"], tower.sub(zi, 1))))
+        return sorted(vals)
+    if fp.tag == "A2":
+        return _a2_roots(tower, v["a"], v["e"])
+    if fp.tag == "B":
+        return _b_roots(tower, v["r"], v["a"], v["e"])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +389,7 @@ def construct_c(base: Fq, r: int, a, e) -> FamilyItem:
     assert g.degree == s * (s - 1) // 2
     g = g - Poly.constant(base, g.eval_at(0))
     params = FamilyParams("C", s * (s - 1) // 2 - 1, {"r": r, "a": a, "e": e})
-    return FamilyItem(params, g, False, None)
+    return FamilyItem(params, g, False)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +495,7 @@ def _construct_lin_general(base: Fq, j: int, k: int, h_coeffs: list, e: int) -> 
     predicted = top.orbit(next(iter(vals))) == vals
     params = FamilyParams("D_general", deg - 1,
                           {"j": j, "k": k, "h": list(hpoly.coeffs), "e": e})
-    roots = tuple(FqElem(top, v) for v in sorted(vals)) if predicted else None
-    return FamilyItem(params, g, predicted, roots)
+    return FamilyItem(params, g, predicted)
 
 
 # ---------------------------------------------------------------------------

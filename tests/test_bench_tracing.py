@@ -57,3 +57,23 @@ def test_deg9_scan_reaches_the_traced_root_and_classifier_calls(monkeypatch, tmp
     # one classify_deg9 per shape, one roots_in per case-iii shape (3·2·3)
     assert metrics["families.classify_deg9.calls"][0] == 54
     assert metrics["poly.roots_in.calls"][0] == 18
+
+
+def test_char2_scan_reaches_the_traced_artin_schreier_and_brute_force(monkeypatch, tmp_path):
+    # bench/checks.py TracedSelfTimes.test_char2_scan asserts these counts on
+    # the same scan; a rewrite that routes around them fails here first
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        uninstall = tracing.install(tracer)
+        try:
+            assert cli.main(["scan", "--family", "A2", "--p", "2", "--m", "3", "--n", "4",
+                             "--out", str(tmp_path / "scan.json")]) == 0
+        finally:
+            uninstall()
+        metrics, _ = tracing.layer_metrics(dict(tracer.result(1.0), untraced_wall_s=1.0))
+    finally:
+        sys.modules.pop("tracing", None)
+    assert metrics["gf.artin_schreier_root.calls"][0] > 0
+    assert metrics["cpp_core.is_cpp_monomial.elements"][0] > 0

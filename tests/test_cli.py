@@ -15,16 +15,20 @@ import cppforge
 from cppforge import cli, families
 from cppforge.cli import ScanConfig, main, run_scan
 from cppforge.cpp_core import goodness
-from cppforge.gf import HARD_BRUTE_CAP, FqElem, mk_field, mk_tower
+from cppforge.gf import HARD_BRUTE_CAP, mk_field, mk_tower
+
+
+def _run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """`python *args` in a child process that imports this cppforge, stopped after timeout s."""
+    src = str(Path(cppforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
 
 
 def _run_module(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """`python -m cppforge *argv` in a child process, stopped after timeout s."""
-    src = str(Path(cppforge.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cppforge", *argv],
-                          capture_output=True, text=True, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return _run_python("-m", "cppforge", *argv, timeout=timeout)
 
 
 class TestScanDegreeGuard:
@@ -146,17 +150,13 @@ class TestInternalError:
 class TestPredictedRootMismatch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shifted_root_is_reported(self, monkeypatch, workers):
-        enumerate_family = cli.enumerate_family
+        predicted_roots = cli.predicted_roots
 
-        def shifted(*args, **kwargs):
-            for item in enumerate_family(*args, **kwargs):
-                if getattr(item, "predicted_roots", None):
-                    r0, *rest = item.predicted_roots
-                    moved = FqElem(r0.ctx, (r0.val + 1) % r0.ctx.order)
-                    item = replace(item, predicted_roots=(moved, *rest))
-                yield item
+        def shifted(fp, tower):
+            r0, *rest = predicted_roots(fp, tower)
+            return [(r0 + 1) % tower.order, *rest]
 
-        monkeypatch.setattr(cli, "enumerate_family", shifted)
+        monkeypatch.setattr(cli, "predicted_roots", shifted)
         report = run_scan(ScanConfig("scan", workers=workers, **A2_CASE))
         kinds = [m["kind"] for m in report.mismatches]
         assert kinds == ["PredictedRootMismatch"] * 56
@@ -169,6 +169,35 @@ class TestFamilyBRootMismatch:
         report = run_scan(ScanConfig("scan", p=5, m=1, n=4, family="B",
                                      ranges={"r": [2], "a": [2], "e": [1]}))
         assert [m["kind"] for m in report.mismatches] == ["PredictedRootMismatch"]
+
+
+class TestRootsOnlyInTheScanTower:
+    """Constructors decide over GF(q); only the scan expresses predicted roots."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--family", "B", "--p", "5"],
+        ["construct", "--family", "A1", "--p", "3", "--n", "4"],
+    ], ids=["scan-B-without-n", "construct-A1"])
+    def test_no_tower_is_built_for_roots(self, argv, monkeypatch, tmp_path, capsys):
+        calls = []
+        mk_tower = families.mk_tower
+
+        def spy(base, n):
+            calls.append(n)
+            return mk_tower(base, n)
+
+        monkeypatch.setattr(families, "mk_tower", spy)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + (["--out", "r.json"] if argv[0] == "scan" else [])) == 0
+        assert calls == []
+
+    def test_d_lin3_scan_brute_forces_its_witnesses(self, tmp_path):
+        # GF(8^7): the one D_lin3 item has degree 2^3 = n + 1 and 7 witnesses
+        report = _cli_report(tmp_path, "scan", "--family", "D_lin3", "--p", "2",
+                             "--m", "3", "--n", "7")
+        assert report["counts"]["constructed"] == 1
+        assert [(w["verified"], w["passed"]) for w in report["witnesses"]] == [
+            ("BruteForce", True)] * 7
 
 
 class TestFamilyBPastTheTower:
@@ -343,9 +372,11 @@ SCAN = ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
     ["scan", "--family", "A2", "--p", "2", "--m", "3", "--n", "4",
      "--range", '{"x": [1], "e": [1]}'],
     SCAN + ["--range", '{"e": [8]}'],
+    ["field-info", "--p", "3", "--n", "0"],
 ], ids=["missing-file", "range-list", "range-int", "bad-json", "workers-0",
         "p-not-prime", "brute-bound", "unknown-family", "a1-without-n",
-        "out-not-writable", "deg9-unread-key", "a2-unread-key", "range-value"])
+        "out-not-writable", "deg9-unread-key", "a2-unread-key", "range-value",
+        "field-info-n-0"])
 def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -408,12 +439,22 @@ def test_workers_fork_after_numpy_only_for_brute_force(tmp_path, argv, loaded):
         f"cli.main(['scan', *{argv!r}, '--workers', '2', '--out', "
         f"{str(tmp_path / 'r.json')!r}])\n"
         "print(seen)\n")
-    src = str(Path(cppforge.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    out = _run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [f"[{loaded}]"]
+
+
+def test_b_scan_with_e_zero_over_a_small_field_leaves_numpy_unloaded(tmp_path):
+    # the discrete log that decides B with e = 0 reads the field's log list
+    code = (
+        "import sys\n"
+        "from cppforge import cli\n"
+        "cli.main(['scan', '--family', 'B', '--p', '11', '--range', '{\"r\": [1, 2]}', "
+        f"'--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print('numpy' in sys.modules)\n")
+    out = _run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 FIELD_INFO = ["field-info", "--p", "3", "--m", "2"]

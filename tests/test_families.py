@@ -6,11 +6,14 @@ import pytest
 
 from cppforge.cpp_core import goodness, v_poly
 from cppforge.families import (
+    NotLinearizedShape,
     _deg9_forced_iii,
     _deg9_forced_iv,
     _primitive_poly,
     classify_deg9,
     construct_a2,
+    construct_lin_d,
+    predicted_roots,
 )
 from cppforge.gf import mk_field, mk_tower
 from cppforge.poly import Poly, factorize, orbit_split, roots_in
@@ -96,12 +99,30 @@ class TestA2SquareDiscriminant:
                  if (e * e - 4 * a) % 5 == 0]
         assert [(it.params.params["a"], it.params.params["e"]) for it in items] == [
             (1, 2), (1, 3), (4, 1), (4, 4)]
+        top = mk_tower(base, 6)
         for it in items:
             assert it.predicted_good and goodness(it.g).is_good
-            top = it.predicted_roots[0].ctx
             roots = [r.val for r, _ in roots_in(v_poly(it.g), top)]
             assert len(roots) == 3
-            assert sorted(r.val for r in it.predicted_roots) == roots
+            assert predicted_roots(it.params, top) == roots
+
+
+class TestLinearizedGeneral:
+    """construct_lin_d's general shape: x^j H(x)^k shifted by e, L = x^j H(x^k)."""
+
+    @pytest.mark.parametrize("p, m, j, k, h, e", [
+        (2, 2, 1, 1, [2, 1], 0), (2, 2, 1, 1, [2, 1], 1),
+        (3, 2, 1, 2, [2, 1], 0), (3, 2, 1, 2, [2, 1], 1),
+        (2, 4, 1, 1, [2, 0, 0, 1], 0), (2, 4, 1, 3, [2, 1], 1),
+    ])
+    def test_prediction_is_the_oracle_verdict(self, p, m, j, k, h, e):
+        it = construct_lin_d(mk_field(p, m), "general", j=j, k=k, h_coeffs=h, e=e)
+        assert it.predicted_good == goodness(it.g).is_good
+
+    def test_degree_not_a_p_power_is_rejected(self):
+        # L = x · 3 has degree 1
+        with pytest.raises(NotLinearizedShape):
+            construct_lin_d(mk_field(2, 3), "general", j=1, k=3, h_coeffs=[3, 0], e=0)
 
 
 @pytest.mark.parametrize("p, eps, deg, coeffs", [
