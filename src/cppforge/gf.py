@@ -27,8 +27,12 @@ its fast paths in front (prime fields, dense rows, exp/log tables) and
 Contexts are interned, so two independent constructions of the same field
 are the same object.  Any context whose order fits the brute-force bound can
 lazily build numpy exp/log tables for vectorised full-field evaluation, the
-only use of numpy.  Fields of order up to _ROW_BOUND build exp/log lists at
-once and derive dense multiplication, addition, negation and inverse rows.
+only use of numpy.  The tables are int32: no order reaches HARD_BRUTE_CAP =
+2^26 < 2^31, so every index and encoding fits, and 4 bytes per entry
+instead of 8 halve what a brute force holds per field element (the coset
+rows of `cpp_core._eval_all_sparse` are a copy of exp, so they follow).
+Fields of order up to _ROW_BOUND build exp/log lists at once and derive
+dense multiplication, addition, negation and inverse rows.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ if TYPE_CHECKING:
 DEFAULT_FIELD_BITS = 32
 DEFAULT_BRUTE_BOUND = 1 << 24
 HARD_BRUTE_CAP = 1 << 26
+if HARD_BRUTE_CAP >= 1 << 31:
+    raise ImportError("HARD_BRUTE_CAP must stay below 2^31: the exp/log tables are int32")
 _ROW_BOUND = 512         # dense op rows for fields up to this order
 _DIGIT_CACHE_BOUND = 1 << 21  # per-encoding digit matrix cache bound
 
@@ -312,7 +318,7 @@ class Context:
             return self._inv_row[a]
         if self._log is not None:
             m = self.order - 1
-            return int(self._exp[(m - self._log[a]) % m])
+            return int(self._exp[-int(self._log[a]) % m])
         return self.pow_(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -361,7 +367,14 @@ class Context:
         raise FieldError("no primitive element found")  # pragma: no cover
 
     def ensure_tables(self, brute_bound: int = DEFAULT_BRUTE_BOUND) -> None:
-        """Build exp/log numpy tables (index <-> encoding of gamma^i)."""
+        """Build exp/log numpy tables (index <-> encoding of gamma^i) as int32.
+
+        The order is at most HARD_BRUTE_CAP = 2^26 < 2^31 (the module
+        refuses to load with a larger cap), so every index and encoding fits
+        in int32; both tables are built in it directly, 8 bytes per element
+        instead of 16.  Scalar lookups convert to Python ints before any
+        arithmetic on indices.
+        """
         import numpy as np
         if self._exp is not None:
             return
@@ -371,8 +384,8 @@ class Context:
         g = self.primitive_element()
         m = n - 1
         exp = self._exp_by_doubling(g, m) if self.p == 2 else self._exp_by_matrix(g, m)
-        log = np.full(n, -1, dtype=np.int64)
-        log[exp] = np.arange(m, dtype=np.int64)
+        log = np.full(n, -1, dtype=np.int32)
+        log[exp] = np.arange(m, dtype=np.int32)
         self._exp = exp
         self._log = log
 
@@ -395,7 +408,7 @@ class Context:
             cols[:, i] = cur
             cur = mat.dot(cur) % p
         step = _mat_pow_mod(mat, chunk, p)
-        exp = np.empty(m, dtype=np.int64)
+        exp = np.empty(m, dtype=np.int32)
         done = 0
         block = cols
         while done < m:
@@ -415,7 +428,7 @@ class Context:
         """
         import numpy as np
         k = self.deg_over_prime
-        exp = np.empty(m, dtype=np.int64)
+        exp = np.empty(m, dtype=np.int32)
         exp[0] = 1
         filled, g_l = 1, g      # g_l = gamma^filled
         while filled < m:
@@ -423,7 +436,7 @@ class Context:
             src, dst = exp[:take], exp[filled:filled + take]
             dst[:] = 0
             for lo in range(0, k, 8):
-                table = np.zeros(256, dtype=np.int64)
+                table = np.zeros(256, dtype=np.int32)
                 for t in range(min(8, k - lo)):
                     table[1 << t:2 << t] = table[:1 << t] ^ self.mul(g_l, 1 << (lo + t))
                 dst ^= table[(src >> lo) & 255]
@@ -432,14 +445,18 @@ class Context:
         return exp
 
     def digit_matrix(self) -> np.ndarray:
-        """(order, deg_over_prime) int8 matrix of base-p digits per encoding."""
+        """(order, deg_over_prime) matrix of base-p digits per encoding.
+
+        Its dtype is the least unsigned one that holds p - 1: one byte up to
+        p = 256 (a signed byte would wrap digits of p >= 131).
+        """
         if self._digmat is None:
             if self.order > _DIGIT_CACHE_BOUND:
                 raise FieldTooLarge("digit matrix too large to materialise")
             import numpy as np
             p, k = self.p, self.deg_over_prime
             a = np.arange(self.order, dtype=np.int64)
-            dig = np.empty((self.order, k), dtype=np.int8)
+            dig = np.empty((self.order, k), dtype=np.min_scalar_type(p - 1))
             for i in range(k):
                 dig[:, i] = a % p
                 a //= p

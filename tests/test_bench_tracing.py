@@ -77,3 +77,26 @@ def test_char2_scan_reaches_the_traced_artin_schreier_and_brute_force(monkeypatc
         sys.modules.pop("tracing", None)
     assert metrics["gf.artin_schreier_root.calls"][0] > 0
     assert metrics["cpp_core.is_cpp_monomial.elements"][0] > 0
+
+
+def test_char2_scan_tables_hold_4_bytes_per_entry(monkeypatch, tmp_path):
+    # gf.ensure_tables.bytes counts exp and log of every interned context;
+    # empty caches leave only the scan's tower GF(8^4), whose two tables are
+    # int32 (GF(8) keeps list rows)
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(gf, "_TOWER_CACHE", {})
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        uninstall = tracing.install(tracer)
+        try:
+            assert cli.main(["scan", "--family", "A2", "--p", "2", "--m", "3", "--n", "4",
+                             "--out", str(tmp_path / "scan.json")]) == 0
+        finally:
+            uninstall()
+        metrics, _ = tracing.layer_metrics(dict(tracer.result(1.0), untraced_wall_s=1.0))
+    finally:
+        sys.modules.pop("tracing", None)
+    order = 8 ** 4
+    assert metrics["gf.ensure_tables.bytes"][0] == 4 * (order - 1) + 4 * order

@@ -251,6 +251,17 @@ class TestVerdictRules:
         assert set(self._verdicts(report)) == {("Permutation", True)}
         assert report["counts"]["verifiedCpp"] == len(report["witnesses"]) == 28
 
+    def test_criterion_over_a_prime_past_a_signed_byte(self, tmp_path):
+        # 137^4 is past the brute bound, so G_b = (t + 1)^5 - 1 is evaluated
+        # over GF(137), a permutation since gcd(5, 136) = 1; digits of 137
+        # wrapped in an int8 digit matrix and failed all four witnesses
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--family", "A1", "--p", "137", "--m", "1", "--n", "4",
+                     "--range", '{"e": [1]}', "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["mismatches"] == []
+        assert self._verdicts(report) == [("Permutation", True)] * 4
+
 
 class TestWitnessFileRoundTrip:
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,27 @@ class TestPermutationOracles:
         with pytest.raises(FieldTooLarge):
             is_permutation(Poly.x(F5), T25, brute_bound=10)
 
+    @pytest.mark.parametrize("p", [131, 257, 1031])
+    def test_digits_of_primes_past_a_signed_byte(self, p):
+        # digits of p >= 131 wrapped in an int8 digit matrix, so x^3 over
+        # GF(131), a permutation since gcd(3, 130) = 1, was reported as none
+        F = mk_field(p, 1)
+        for coeffs in ([0, 0, 0, 1], [0, 1, 0, 1], [5, 2, 0, 0, 0, p - 1]):
+            f = Poly(F, coeffs)
+            want = len({f.eval_at(x) for x in F.elements()}) == p
+            assert is_permutation(f) == want
+        assert is_permutation(Poly.x(F) ** 3)
+
+    def test_tower_over_a_prime_past_a_signed_byte(self):
+        # GF(137^2): two base-137 digits per element
+        t = mk_tower(mk_field(137, 1), 2)
+        d = cpp_exponent(t)
+        assert math.gcd(d, t.order - 1) == 1
+        for b in (1, 2, 140, 5000):
+            binv = t.inv(b)
+            values = {t.add(t._mul_slow(binv, t.pow_(x, d)), x) for x in t.elements()}
+            assert is_cpp_monomial(b, t) == (len(values) == t.order)
+
 
 class TestCppMonomial:
     def test_exponent(self):
@@ -206,7 +228,8 @@ class TestRowLayout:
             pw.append(ctx._mul_slow(pw[-1], gamma))
         rng = random.Random(ctx.order)
         for _ in range(3):
-            js = [0, 1, M + 1, m, 2 * m, m + rng.randrange(m), rng.randrange(2, 3 * m)]
+            # 1, M + 1 and 2M + 1 are three rotations of one row
+            js = [0, 1, M + 1, 2 * M + 1, m, 2 * m, m + rng.randrange(m), rng.randrange(2, 3 * m)]
             terms = {j: rng.randrange(ctx.order) for j in js}
             terms[0] = rng.randrange(1, ctx.order)
 
@@ -239,6 +262,61 @@ class TestRowLayout:
         data = pickle.dumps(ctx)
         assert len(data) < 100
         assert pickle.loads(data) is ctx
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes that fn allocates, over those traced before it ran.
+
+    numpy reports its data buffers to tracemalloc, so the count is exact.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """int32 exp/log/coset-row tables; the kernel allocates one int64 value per element."""
+
+    @pytest.mark.parametrize("ctx", [mk_tower(F8, 4), mk_tower(F3, 6), mk_field(3, 7)],
+                             ids=["char2-tower", "odd-tower", "field"])
+    def test_tables_and_rows_are_int32(self, ctx):
+        assert is_permutation(Poly.x(getattr(ctx, "base", ctx)), ctx)
+        assert ctx._exp.dtype == ctx._log.dtype == ctx._rows.dtype == np.int32
+
+    def test_char2_brute_force_peaks(self, monkeypatch):
+        # with exp/log built, the first brute force adds the int32 coset
+        # rows (4 bytes per element) to the int64 values (8) and the bool
+        # cover (1); a warm one only the values and the cover
+        t = mk_tower(mk_field(2, 5), 4)
+        assert math.gcd(cpp_exponent(t), t.order - 1) == 1
+        t.ensure_tables()
+        monkeypatch.setattr(t, "_rows", None)
+        cold = _peak_bytes(lambda: is_cpp_monomial(7, t))
+        warm = _peak_bytes(lambda: is_cpp_monomial(7, t))
+        assert cold <= 13.5 * t.order
+        assert warm <= 9.5 * t.order
+
+    def test_tables_hold_12_bytes_per_element(self):
+        t = mk_tower(mk_field(2, 5), 4)
+        is_cpp_monomial(7, t)
+        assert t._exp.nbytes + t._log.nbytes + t._rows.nbytes <= 12 * t.order
+
+    @pytest.mark.parametrize("base, n", [((3, 1), 12), ((3, 2), 6)])
+    def test_odd_p_warm_brute_force_peaks_below_40_bytes_per_element(self, base, n):
+        # the digit sums are folded into the values by Horner, one column at
+        # a time, with no m×k int64 copy of them
+        t = mk_tower(mk_field(*base), n)
+        assert math.gcd(cpp_exponent(t), t.order - 1) == 1
+        is_cpp_monomial(5, t)
+        assert _peak_bytes(lambda: is_cpp_monomial(5, t)) < 40 * t.order
 
 
 class TestGoodness:

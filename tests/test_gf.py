@@ -308,6 +308,38 @@ class TestArith:
                 assert log[exp[i]] == i
 
 
+def _slow_pow(ctx, a, e):
+    acc = 1
+    for bit in bin(e)[2:]:
+        acc = ctx._mul_slow(acc, acc)
+        if bit == "1":
+            acc = ctx._mul_slow(acc, a)
+    return acc
+
+
+class TestInt32Tables:
+    def test_cap_fits_int32(self):
+        assert gf.HARD_BRUTE_CAP < 2 ** 31
+
+    @pytest.mark.parametrize("p, m", [(2, 20), (3, 12)])
+    def test_scalar_paths_at_the_top_indices(self, p, m):
+        # the elements gamma^(m-1), gamma^(m-2) have the largest logs, so
+        # index sums and negations there would leave int32 arithmetic first
+        ctx = mk_field(p, m)
+        ctx.ensure_tables()
+        assert str(ctx._exp.dtype) == str(ctx._log.dtype) == "int32"
+        top = ctx.order - 1
+        a, b = int(ctx._exp[top - 1]), int(ctx._exp[top - 2])
+        assert ctx._log[a] == top - 1 and ctx._log[b] == top - 2
+        for x, y in ((a, a), (a, b), (b, b)):
+            assert ctx.mul(x, y) == ctx._mul_slow(x, y)
+        for x in (a, b):
+            assert ctx._mul_slow(x, ctx.inv(x)) == 1
+            for e in (2, 3, top - 1, top + 5):
+                assert ctx.pow_(x, e) == _slow_pow(ctx, x, e)
+            assert ctx.pow_(x, -3) == ctx.inv(_slow_pow(ctx, x, 3))
+
+
 class TestFrobenius:
     def test_base_elements_fixed(self):
         for c in F5.elements():
