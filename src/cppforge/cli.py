@@ -13,9 +13,17 @@ classify is scan under another name: both go through run_scan, and their
 reports differ only in config.command and timingSec.  Every such report
 lists the params of the good items (predicted good and confirmed by the
 goodness oracle) in goodShapes, in enumeration order.  Each subcommand
-accepts only the options it reads.  scan and verify decide each witness by
-cpp_core.cpp_verdict and report it alike: its rule and verdict, a mismatch
-named after the rule when it fails, and the passed ones in verifiedCpp.
+accepts only the options it reads.  scan decides by the criterion and
+cross-checks once per class; verify brute-forces each witness.  That is,
+scan labels each witness orbit by cpp_core.criterion_verdict (G_b over
+GF(q), one verdict for a whole goodness class) and, where the tower fits
+--brute-bound, brute-forces the first witness of each class in a chunk: a
+disagreement is a CrossCheckDisagreement.  counts.witnessClasses and
+counts.crossCheckedClasses are the distinct class keys with witnesses and
+with a completed brute force.  verify decides each witness by
+cpp_core.cpp_verdict, the brute force wherever it fits.  Both report a
+witness alike: its rule and verdict, a mismatch named after the rule when
+it fails, and the passed ones in verifiedCpp.
 
 A scan builds each family item in the process that checks it, right before
 its check, through one function, _scan_chunk, whatever the worker count.
@@ -29,10 +37,10 @@ witnesses are there to compare them with.  The first brute force in a
 process builds the tower's exp/log tables there, so the root comparisons
 after it use tabled tower multiplication; with --workers k > 1 the parent
 builds no item and no table, but imports numpy (which only tables need, and
-every witness verdict needs tables) when a tower is given, so the forked
-workers share that import.  Results are merged in enumeration order.  An
-exception other than FieldError while building or checking one item becomes
-an internalErrors record and the scan goes on.  goodness runs once per
+every witness verdict needs tables of GF(q) at least) when a tower is
+given, so the forked workers share that import.  Results are merged in
+enumeration order.  An exception other than FieldError while building or
+checking one item becomes an internalErrors record and the scan goes on.  goodness runs once per
 equivalence class in each chunk (cpp_core.goodness_class: g up to c·g(c'x)
 and the coefficient Frobenius); the other items of the class reuse its
 verdict.
@@ -56,9 +64,11 @@ from dataclasses import dataclass, field as dfield, replace
 from itertools import chain, repeat
 from typing import Optional
 
+from . import cpp_core
 from .gf import (
     DEFAULT_BRUTE_BOUND,
     FieldError,
+    FieldTooLarge,
     HARD_BRUTE_CAP,
     mk_field,
     mk_tower,
@@ -149,23 +159,32 @@ def _cpp_counts(witnesses: list) -> dict:
     return {"verifiedCpp": len(passed), "distinctCpp": len(set(passed))}
 
 
-def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
+def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> dict:
     """Check one enumerated item: its skip, or its verdicts and witnesses.
 
     A FamilyItem's prediction is cross-checked against goodness(); a good g
-    of degree n + 1 yields its witnesses, each with its cpp_verdict.  Only
-    then are the roots its family predicts (families.predicted_roots, for
-    A1, A2 and B) expressed in the scan's tower and compared with them.
+    of degree n + 1 yields its witnesses, labelled by the criterion
+    (witnesses_from_good with brute bound 0, so cpp_core.criterion_verdict).
+    Only then are the roots its family predicts (families.predicted_roots,
+    for A1, A2 and B) expressed in the scan's tower and compared with them.
     verdicts maps goodness_class keys to (is_good, reason): goodness() runs
     only for a key not in it, and an item whose class is there gets a report
     with that verdict and its own g and v_g (its radical is computed on
     demand, for its witnesses).
+
+    checked holds the class keys whose criterion verdict a brute force has
+    confirmed in this chunk.  The first item with witnesses of any other
+    class runs cpp_core.is_cpp_monomial on one witness, as the last step, so
+    that the key is added only when the item returns; where the tower is
+    past brute_bound or a table cap, the class stays unchecked.  The result
+    of an item with witnesses carries its class key ("class"), and
+    "crossChecked" when it ran the brute force.
     """
     if isinstance(item, FamilySkip):
         return {"skip": {"params": item.params.params, "reason": item.reason}}
+    key = goodness_class(item.g)
     out = {"params": item.params.params, "witnesses": [], "mismatches": [],
            "predicted": item.predicted_good, "good": False}
-    key = goodness_class(item.g)
     hit = verdicts.get(key)
     if hit:
         rep = GoodnessReport(item.g, v_poly(item.g), *hit)
@@ -183,15 +202,25 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict) -> dict:
     # also makes the orbit size divide n, since v_g = c f^(n/s)
     if not rep.is_good or tower is None or item.g.degree != tower.n + 1:
         return out
-    ws = witnesses_from_good(item.g, tower, brute_bound,
-                             family=item.params.tag,
+    ws = witnesses_from_good(item.g, tower, 0, family=item.params.tag,
                              params=dict(item.params.params), report=rep)
     pred = predicted_roots(item.params, tower)
     if pred is not None and pred != sorted(w.b for w in ws):
         out["mismatches"].append({"kind": "PredictedRootMismatch",
                                   "params": item.params.params})
     out["mismatches"].extend(_verdict_failures(ws))
-    out["witnesses"] = ws
+    out["witnesses"], out["class"] = ws, key
+    if key not in checked and tower.order <= brute_bound:
+        try:
+            brute = cpp_core.is_cpp_monomial(ws[0].b, tower, brute_bound)
+        except FieldTooLarge:
+            return out
+        if brute != ws[0].passed:
+            out["mismatches"].append({
+                "kind": "CrossCheckDisagreement", "params": item.params.params,
+                "b": ws[0].b, "criterion": ws[0].passed, "bruteForce": brute})
+        checked.add(key)
+        out["crossChecked"] = True
     return out
 
 
@@ -204,16 +233,19 @@ def _scan_chunk(params: list, base, tower, brute_bound: int) -> list:
 
     Returns one result per FamilyParams, in order.  One goodness verdict per
     goodness_class key is kept for the whole chunk, so goodness() runs once
-    per equivalence class in it.  An exception other than FieldError while
+    per equivalence class in it, and so is the set of keys cross-checked by
+    a brute force, so the chunk brute-forces one witness orbit per class
+    (_scan_item).  An exception other than FieldError while
     building or checking an item becomes that item's {"error": ...} record,
     and the chunk goes on with a fresh stream of the items after it.
     """
     results: list = []
     verdicts: dict = {}
+    checked: set = set()
     while len(results) < len(params):
         try:
             for item in enumerate_family(base, params[len(results):]):
-                results.append(_scan_item(item, tower, brute_bound, verdicts))
+                results.append(_scan_item(item, tower, brute_bound, verdicts, checked))
         except FieldError:
             raise
         except Exception as err:  # one failing item must not end the scan
@@ -233,7 +265,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
 
     The parent computes the parameter list only; each process, the parent
     itself for --workers 1, builds and checks one contiguous chunk of it
-    (_scan_chunk), and the results are merged in enumeration order.
+    (_scan_chunk), and the results are merged in enumeration order.  The
+    class counts merge the distinct keys of all chunks, so they do not
+    depend on the worker count.
     """
     config.validate()
     t0 = time.time()
@@ -243,6 +277,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     params = family_params(config.family, base, n, config.ranges)
     counts = {"constructed": 0, "predictedGood": 0, "refuted": 0, "skipped": 0}
     witnesses, mismatches, skips, good_shapes, internal_errors = [], [], [], [], []
+    witness_classes, checked_classes = set(), set()
     size = max(1, math.ceil(len(params) / config.workers))
     chunks = [params[i:i + size] for i in range(0, len(params), size)]
     args = (_scan_chunk, chunks, repeat(base), repeat(tower), repeat(config.brute_bound))
@@ -270,8 +305,13 @@ def run_scan(config: ScanConfig) -> ScanReport:
             counts["refuted"] += 1
         mismatches.extend(res["mismatches"])
         witnesses.extend(res["witnesses"])
+        if "class" in res:
+            witness_classes.add(res["class"])
+        if res.get("crossChecked"):
+            checked_classes.add(res["class"])
     witnesses.sort(key=lambda w: (w.family, sorted(w.params.items()), w.b))
-    counts.update(_cpp_counts(witnesses))
+    counts.update(_cpp_counts(witnesses), witnessClasses=len(witness_classes),
+                  crossCheckedClasses=len(checked_classes))
     return ScanReport(
         config={"command": config.command, "p": config.p, "m": config.m, "n": n,
                 "family": config.family, "bruteBound": config.brute_bound,
@@ -289,7 +329,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
 
 def verify_witness_file(path: str,
                         brute_bound: int = DEFAULT_BRUTE_BOUND) -> ScanReport:
-    """Decide each stored witness again with cpp_verdict, as scan decides it.
+    """Decide each stored witness again with cpp_verdict: the brute force
+    wherever the tower fits, so each witness gets its own exhaustive audit.
 
     Every witness that parses is listed, counted and reported with the rule
     and verdict computed here, not those stored.  An unparsable record is a

@@ -22,12 +22,16 @@ single Frobenius orbit; such g are called good.  This module provides:
   numpy scatters by without a cast, for the injectivity test;
 * the Frobenius orbit sizes of the roots of a polynomial, from the same
   split;
-* the CPM verdict of a witness b (`cpp_verdict`), the one place it is
-  decided: the brute force where the tower fits its tables, otherwise the
-  criterion that G_b(t) = t·prod_i (t + b^(q^i)) permutes GF(q);
+* the CPM verdict of a witness b, the one place it is decided: the
+  criterion (`criterion_verdict`) that gcd(d, q^n - 1) = 1 and
+  G_b(t) = t·prod_i (t + b^(q^i)) permutes GF(q), evaluated over GF(q)
+  alone, and `cpp_verdict`, the brute force where the tower fits its tables
+  and the criterion otherwise;
 * the witness elements b of a good g: one root of the radical of v_g located
   in the tower, the rest its Frobenius orbit, and one verdict per orbit,
-  since being a CPM is invariant under x -> x^q;
+  since being a CPM is invariant under x -> x^q.  The criterion is also
+  invariant under b -> c·b for c in GF(q)*, as G_(cb)(t) = c^(n+1)·G_b(t/c),
+  and so one verdict holds for every witness of a goodness class;
 * the scaling normalisation h(x) = c g(c' x) + e.
 """
 
@@ -422,30 +426,42 @@ VERIFIED_PERMUTATION = "Permutation"
 VERIFIED_CRITERION = "CriterionOnly"
 
 
-def cpp_verdict(b: int, tower: Tower,
-                brute_bound: int = DEFAULT_BRUTE_BOUND) -> tuple:
-    """Whether b^(-1) x^d is a CPM of the tower, as (rule, passed).
+def criterion_verdict(b: int, tower: Tower) -> tuple:
+    """Whether b^(-1) x^d is a CPM of the tower, decided over GF(q): (rule, passed).
 
-    is_cpp_monomial decides where the tower fits it, and gcd(d, q^n - 1) > 1
-    at any size (VERIFIED_BRUTE).  Otherwise the criterion decides
-    (VERIFIED_PERMUTATION): with N(x) = x^((q^n-1)/(q-1)), b^(-1) x^d + x =
-    x·(1 + N(x)/b) permutes the tower iff x·N(1 + x/b) permutes GF(q) (the
-    x·h(x^s) criterion; Park–Lee 2001, Zieve 2009), that is iff
-    G_b(t) = t·prod_i (t + b^(q^i)) does; the product's coefficients are
-    `char_poly_of(b)`.  G_b is evaluated up to the table cap whatever
-    brute_bound is; past it (only for n = 1 or a raised field bound) the
-    verdict is (VERIFIED_CRITERION, None).
+    gcd(d, q^n - 1) > 1 makes x^d no permutation, whatever b is
+    (VERIFIED_BRUTE, False).  Otherwise (VERIFIED_PERMUTATION): with
+    N(x) = x^((q^n-1)/(q-1)), b^(-1) x^d + x = x·(1 + N(x)/b) permutes the
+    tower iff x·N(1 + x/b) permutes GF(q) (the x·h(x^s) criterion; Park–Lee
+    2001, Zieve 2009), that is iff G_b(t) = t·prod_i (t + b^(q^i)) does; the
+    product's coefficients are `char_poly_of(b)`.  G_b is evaluated up to
+    the table cap; past it (only for n = 1 or a raised field bound) the
+    verdict is (VERIFIED_CRITERION, None).  No tower element is enumerated.
     """
-    try:
-        return VERIFIED_BRUTE, is_cpp_monomial(b, tower, brute_bound)
-    except FieldTooLarge:
-        pass
+    if math.gcd(cpp_exponent(tower), tower.order - 1) != 1:
+        return VERIFIED_BRUTE, False
     sym = char_poly_of(FqElem(tower, b), tower)
     gb = Poly(tower.base, [0] + [a.val for a in reversed(sym)])
     try:
         return VERIFIED_PERMUTATION, is_permutation(gb, brute_bound=HARD_BRUTE_CAP)
     except FieldTooLarge:
         return VERIFIED_CRITERION, None
+
+
+def cpp_verdict(b: int, tower: Tower,
+                brute_bound: int = DEFAULT_BRUTE_BOUND) -> tuple:
+    """Whether b^(-1) x^d is a CPM of the tower, as (rule, passed).
+
+    is_cpp_monomial decides where the tower fits brute_bound and the tables
+    (VERIFIED_BRUTE); otherwise `criterion_verdict` does.  A brute_bound
+    below the tower's order leaves every b to the criterion.
+    """
+    if tower.order <= brute_bound:
+        try:
+            return VERIFIED_BRUTE, is_cpp_monomial(b, tower, brute_bound)
+        except FieldTooLarge:
+            pass
+    return criterion_verdict(b, tower)
 
 
 @dataclass(frozen=True)
@@ -527,8 +543,23 @@ def witnesses_from_good(g: Poly, tower: Tower,
         sigma∘(b^(-1) x^d + x)∘sigma^(-1) = sigma(b)^(-1) x^d + x,
 
     and a permutation conjugated by a field automorphism is a permutation
-    (likewise for b^(-1) x^d).  So only rho is decided (`cpp_verdict`), and
-    its rule and verdict label every conjugate.
+    (likewise for b^(-1) x^d).  So only rho is decided (`cpp_verdict` with
+    brute_bound; 0 leaves it to `criterion_verdict`), and its rule and
+    verdict label every conjugate.
+
+    The verdict is shared further, by every item of one `goodness_class`.
+    For c in GF(q)*, the conjugates of c·b are c·b^(q^i), so
+
+        G_(cb)(t) = t·prod_i (t + c·b^(q^i)) = c^(n+1)·G_b(t/c),
+
+    and t -> t/c and the factor c^(n+1) are bijections of GF(q): c·b passes
+    the criterion iff b does (the gcd does not involve b).  For
+    h(x) = c·g(c'x), v_h(x) = c·c'·v_g(c'x), so the roots of v_h are those of
+    v_g divided by c', and the coefficient Frobenius tau: a -> a^p maps the
+    roots of v_g to those of v_(g^tau), where G_(tau(b)) = G_b^tau
+    coefficientwise permutes GF(q) iff G_b does.  So one criterion verdict
+    holds for all witnesses of a class, and a scan brute-forces one orbit
+    per class as a cross-check.
 
     Raises, checked in this order: NotGood when g is not good,
     OrbitSizeDoesNotDivideN when s does not divide n, DegreeNotNPlusOne

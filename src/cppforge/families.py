@@ -330,7 +330,14 @@ def construct_b(base: Fq, r: int, a, e) -> FamilyItem:
 
 
 def _b_roots(top: Tower, r: int, a: int, e: int) -> list:
-    """Sorted roots of v_g predicted for a B item, in top = GF(q^(p-1))."""
+    """Sorted roots of v_g predicted for a B item, in top = GF(q^(p-1)).
+
+    The roots of v_g are -y for the nonzero roots y of g.  For e != 0 put
+    w = x + e, w = z^k and L(z) = z^p - a·z: then w(w^r - a)^k = L(z)^k, and
+    L is additive with kernel GF(p)·u0 (u0^(p-1) = a).  With v0^k = e,
+    L(v0)^k = e(e^r - a)^k, so the roots are w = (v0 - lam·u0)^k; lam = 0
+    gives y = 0, and the roots of v_g are e - (v0 - lam·u0)^k, lam = 1..p-1.
+    """
     base, p = top.base, top.p
     k = (p - 1) // r
     if e == 0:
@@ -338,7 +345,7 @@ def _b_roots(top: Tower, r: int, a: int, e: int) -> list:
         return sorted(top.neg(rho.val) for rho, _ in rs)
     u0 = roots_in(Poly(base, [base.neg(a)] + [0] * (p - 2) + [1]), top)[0][0].val
     v0 = roots_in(Poly(base, [base.neg(e)] + [0] * (k - 1) + [1]), top)[0][0].val
-    return sorted({top.sub(top.pow_(top.sub(v0, top.mul(lam, u0)), k), e)
+    return sorted({top.sub(e, top.pow_(top.sub(v0, top.mul(lam, u0)), k))
                    for lam in range(1, p)})
 
 

@@ -81,8 +81,8 @@ def test_char2_scan_reaches_the_traced_artin_schreier_and_brute_force(monkeypatc
 
 def test_char2_scan_tables_hold_4_bytes_per_entry(monkeypatch, tmp_path):
     # gf.ensure_tables.bytes counts exp and log of every interned context;
-    # empty caches leave only the scan's tower GF(8^4), whose two tables are
-    # int32 (GF(8) keeps list rows)
+    # empty caches leave the scan's tower GF(8^4), for its brute force, and
+    # GF(8), for the G_b criterion; all four tables are int32
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
     monkeypatch.setattr(gf, "_TOWER_CACHE", {})
@@ -98,5 +98,5 @@ def test_char2_scan_tables_hold_4_bytes_per_entry(monkeypatch, tmp_path):
         metrics, _ = tracing.layer_metrics(dict(tracer.result(1.0), untraced_wall_s=1.0))
     finally:
         sys.modules.pop("tracing", None)
-    order = 8 ** 4
-    assert metrics["gf.ensure_tables.bytes"][0] == 4 * (order - 1) + 4 * order
+    assert metrics["gf.ensure_tables.bytes"][0] == sum(
+        4 * (order - 1) + 4 * order for order in (8 ** 4, 8))

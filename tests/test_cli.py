@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cppforge
-from cppforge import cli, families
+from cppforge import cli, cpp_core, families
 from cppforge.cli import ScanConfig, main, run_scan
 from cppforge.cpp_core import goodness
 from cppforge.gf import HARD_BRUTE_CAP, mk_field, mk_tower
@@ -34,12 +34,14 @@ def _run_module(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess
 class TestScanDegreeGuard:
     def test_d_lin2_skips_items_of_wrong_degree(self):
         # GF(16^3): the r = 1 item has degree 2 != n + 1 and yields no witness;
-        # the r = 2 item has degree 4 and yields three brute-forced witnesses
+        # the r = 2 item has degree 4 and yields three witnesses, decided by
+        # the criterion, their one class cross-checked by a brute force
         report = run_scan(ScanConfig("scan", p=2, m=4, n=3, family="D_lin2"))
         assert report.mismatches == []
         assert [w.params for w in report.witnesses] == [{"r": 2}] * 3
-        assert all(w.verified == "BruteForce" and w.passed
+        assert all(w.verified == "Permutation" and w.passed
                    for w in report.witnesses)
+        assert report.counts["witnessClasses"] == report.counts["crossCheckedClasses"] == 1
 
     def test_d_lin2_scan_exits_0(self):
         assert main(["scan", "--p", "2", "--m", "4", "--family", "D_lin2",
@@ -47,7 +49,7 @@ class TestScanDegreeGuard:
 
 
 # GF((2^3)^4): A1 with e = 0 is one ZeroShift skip; its three items give 12
-# witnesses.  A2 gives 56 items and 210 brute-forced witnesses.  Without a
+# witnesses.  A2 gives 56 items and 210 witnesses in 4 classes.  Without a
 # tower, Deg9 over GF(3) classifies 54 shapes, and B over GF(5) builds 25
 # items and skips 35 (ExceptionalityViolated) among them.
 A1_CASE = dict(p=2, m=3, n=4, family="A1", ranges={"e": [0, 1, 2, 3]})
@@ -162,13 +164,15 @@ class TestPredictedRootMismatch:
         assert kinds == ["PredictedRootMismatch"] * 56
 
 
-class TestFamilyBRootMismatch:
-    def test_wrong_predicted_roots_are_reported_not_raised(self):
-        # B over GF(5) with r = 2 and e != 0: the verdict is right but the
-        # predicted roots are not the roots of v_g
-        report = run_scan(ScanConfig("scan", p=5, m=1, n=4, family="B",
-                                     ranges={"r": [2], "a": [2], "e": [1]}))
-        assert [m["kind"] for m in report.mismatches] == ["PredictedRootMismatch"]
+class TestFamilyBRoots:
+    def test_predicted_roots_are_the_roots_of_v_g(self):
+        # B over GF(5) with 1 < r < n and e != 0 once predicted the roots y of
+        # g instead of the roots -y of v_g; every B item of GF(5^4) now agrees
+        report = run_scan(ScanConfig("scan", p=5, m=1, n=4, family="B"))
+        assert report.mismatches == [] and report.internal_errors == []
+        assert report.counts["constructed"] == 25
+        assert {w.params["r"] for w in report.witnesses} == {2, 4}
+        assert any(w.params["r"] == 2 and w.params["e"] for w in report.witnesses)
 
 
 class TestRootsOnlyInTheScanTower:
@@ -192,12 +196,73 @@ class TestRootsOnlyInTheScanTower:
         assert calls == []
 
     def test_d_lin3_scan_brute_forces_its_witnesses(self, tmp_path):
-        # GF(8^7): the one D_lin3 item has degree 2^3 = n + 1 and 7 witnesses
+        # GF(8^7): the one D_lin3 item has degree 2^3 = n + 1 and 7 witnesses;
+        # the criterion labels them, and one brute force checks their class
         report = _cli_report(tmp_path, "scan", "--family", "D_lin3", "--p", "2",
                              "--m", "3", "--n", "7")
         assert report["counts"]["constructed"] == 1
         assert [(w["verified"], w["passed"]) for w in report["witnesses"]] == [
-            ("BruteForce", True)] * 7
+            ("Permutation", True)] * 7
+        assert report["counts"]["witnessClasses"] == 1
+        assert report["counts"]["crossCheckedClasses"] == 1
+
+
+def _spy_brute_force(monkeypatch, result=lambda b, brute: brute) -> list:
+    """Replace cpp_core.is_cpp_monomial by a spy; returns the b of its calls."""
+    calls = []
+    real = cpp_core.is_cpp_monomial
+
+    def spy(b, tower, brute_bound):
+        calls.append(b)
+        return result(b, real(b, tower, brute_bound))
+
+    monkeypatch.setattr(cpp_core, "is_cpp_monomial", spy)
+    return calls
+
+
+class TestCrossCheckOncePerClass:
+    """scan labels witnesses by the criterion and brute-forces one per class."""
+
+    def test_one_brute_force_per_class_with_witnesses(self, monkeypatch):
+        calls = _spy_brute_force(monkeypatch)
+        report = run_scan(ScanConfig("scan", workers=1, **A2_CASE))
+        assert report.mismatches == []
+        assert len(calls) == report.counts["witnessClasses"] == 4
+        assert report.counts["crossCheckedClasses"] == 4
+        assert {w.verified for w in report.witnesses} == {"Permutation"}
+
+    def test_negated_brute_force_disagrees_once_per_class(self, monkeypatch, tmp_path):
+        calls = _spy_brute_force(monkeypatch, lambda b, brute: not brute)
+        report = run_scan(ScanConfig("scan", workers=1, **A2_CASE))
+        assert report.exit_code == 1
+        assert [m["kind"] for m in report.mismatches] == ["CrossCheckDisagreement"] * 4
+        assert [m["b"] for m in report.mismatches] == calls
+        assert all((m["criterion"], m["bruteForce"]) == (True, False)
+                   for m in report.mismatches)
+        assert main(["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A2",
+                     "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_failed_brute_force_leaves_the_class_to_the_next_item(self, monkeypatch):
+        # the first brute force raises: its item is an internal error, and the
+        # next item of that class runs the cross-check instead
+        def failing_once(b, brute):
+            if len(calls) == 1:
+                raise RuntimeError("brute force failed")
+            return brute
+
+        calls = _spy_brute_force(monkeypatch, failing_once)
+        report = run_scan(ScanConfig("scan", workers=1, **A2_CASE))
+        assert [e["message"] for e in report.internal_errors] == ["brute force failed"]
+        assert report.mismatches == []
+        assert len(calls) == 5
+        assert report.counts["crossCheckedClasses"] == report.counts["witnessClasses"] == 4
+
+    def test_tower_past_the_brute_bound_is_not_cross_checked(self, monkeypatch):
+        calls = _spy_brute_force(monkeypatch)
+        report = run_scan(ScanConfig("scan", brute_bound=8, **A1_CASE))
+        assert calls == [] and report.mismatches == []
+        assert report.counts["witnessClasses"] == 1
+        assert report.counts["crossCheckedClasses"] == 0
 
 
 class TestFamilyBPastTheTower:

@@ -25,6 +25,7 @@ from cppforge.cpp_core import (
     cpp_exponent,
     cpp_normalize,
     cpp_verdict,
+    criterion_verdict,
     goodness,
     goodness_class,
     is_cpp_monomial,
@@ -191,6 +192,23 @@ class TestCppVerdict:
             rule, passed = cpp_verdict(b, t, brute_bound=1)
             assert rule == ("Permutation" if coprime else "BruteForce")
             assert passed == is_cpp_monomial(b, t)
+
+    def test_criterion_evaluates_over_gf_q_only(self, monkeypatch):
+        # criterion_verdict neither brute-forces nor evaluates over the tower
+        t = mk_tower(F8, 4)
+        seen = []
+        real = cpp_core._eval_all_sparse
+
+        def spy(ctx, terms, bound):
+            seen.append(ctx)
+            return real(ctx, terms, bound)
+
+        monkeypatch.setattr(cpp_core, "_eval_all_sparse", spy)
+        monkeypatch.setattr(cpp_core, "is_cpp_monomial", None)
+        for b in (1, 7, 100, 4000):
+            rule, passed = criterion_verdict(b, t)
+            assert rule == "Permutation" and passed in (True, False)
+        assert seen == [F8] * 4
 
     def test_brute_force_within_the_bound(self):
         assert cpp_verdict(9, T25) == ("BruteForce", True)
@@ -573,6 +591,36 @@ class TestFrobeniusInvariance:
                 assert is_cpp_monomial(w.b, t) == w.passed
                 checked += 1
         assert checked
+
+
+class TestScalingInvariance:
+    """The scan brute-forces one witness per goodness class; keep the reason checked."""
+
+    @pytest.mark.parametrize("base, n", [((5, 1), 2), ((3, 1), 4), ((2, 2), 3),
+                                         ((2, 3), 2), ((7, 1), 2), ((3, 2), 2),
+                                         ((2, 3), 4)])
+    def test_verdict_is_invariant_under_base_field_scalars(self, base, n):
+        # G_(cb)(t) = c^(n+1) G_b(t/c), so c·b is a CPM iff b is; GF(7^2)
+        # has none, since gcd(d, 48) = 3
+        base = mk_field(*base)
+        t = mk_tower(base, n)
+        verdict = {b: is_cpp_monomial(b, t) for b in t.units()}
+        assert any(verdict.values()) == (math.gcd(cpp_exponent(t), t.order - 1) == 1)
+        for c in base.units():
+            assert all(verdict[t.mul(c, b)] == v for b, v in verdict.items())
+
+    def test_items_of_one_goodness_class_share_the_verdict(self):
+        # A2 over GF(8) with n = 4: the brute force of every witness orbit
+        base = mk_field(2, 3)
+        t = mk_tower(base, 4)
+        by_class = {}
+        for item in enumerate_family(base, family_params("A2", base, 4)):
+            if isinstance(item, FamilyItem) and goodness(item.g).is_good:
+                verdicts = {is_cpp_monomial(w.b, t)
+                            for w in witnesses_from_good(item.g, t)}
+                by_class.setdefault(goodness_class(item.g), set()).update(verdicts)
+        assert len(by_class) == 4 and sum(map(len, by_class.values())) == 4
+        assert any(v == {True} for v in by_class.values())
 
 
 class TestScalarClassCount:
