@@ -14,12 +14,10 @@ from .gf import (
     FqElem,
     Tower,
     elem,
-    embed,
     frobenius,
     legendre,
     mk_field,
     mk_tower,
-    mk_tower_pmn,
     norm_map,
     ord_mod,
     primitive_element,
@@ -50,7 +48,6 @@ from .cpp_core import (
     is_cpp_monomial,
     is_cpp_poly,
     is_permutation,
-    orbit_structure,
     scalar_class_count,
     v_poly,
     witness_from_json,

@@ -13,12 +13,11 @@ classify is scan under another name: both go through run_scan, and their
 reports differ only in config.command and timingSec.  Every such report
 lists the params of the good items (predicted good and confirmed by the
 goodness oracle) in goodShapes, in enumeration order.  Each subcommand
-accepts only the options it reads.  scan decides by the criterion and
-cross-checks once per class; verify brute-forces each witness.  That is,
-scan labels each witness orbit by cpp_core.criterion_verdict (G_b over
-GF(q), one verdict for a whole goodness class) and, where the tower fits
---brute-bound, brute-forces the first witness of each class in a chunk: a
-disagreement is a CrossCheckDisagreement.  counts.witnessClasses and
+accepts only the options it reads.  scan labels the witnesses of a good g
+by the gate on g (cpp_core.gate: whether g permutes GF(q), one verdict for
+a whole goodness class) and, where the tower fits --brute-bound,
+brute-forces the first witness of each class in a chunk as a cross-check:
+a disagreement is a CrossCheckDisagreement.  counts.witnessClasses and
 counts.crossCheckedClasses are the distinct class keys with witnesses and
 with a completed brute force.  verify decides each witness by
 cpp_core.cpp_verdict, the brute force wherever it fits.  Both report a
@@ -163,8 +162,8 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> d
     """Check one enumerated item: its skip, or its verdicts and witnesses.
 
     A FamilyItem's prediction is cross-checked against goodness(); a good g
-    of degree n + 1 yields its witnesses, labelled by the criterion
-    (witnesses_from_good with brute bound 0, so cpp_core.criterion_verdict).
+    of degree n + 1 yields its witnesses, labelled by the gate on g
+    (witnesses_from_good, so cpp_core.gate).
     Only then are the roots its family predicts (families.predicted_roots,
     for A1, A2 and B) expressed in the scan's tower and compared with them.
     verdicts maps goodness_class keys to (is_good, reason): goodness() runs
@@ -172,7 +171,7 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> d
     with that verdict and its own g and v_g (its radical is computed on
     demand, for its witnesses).
 
-    checked holds the class keys whose criterion verdict a brute force has
+    checked holds the class keys whose gate verdict a brute force has
     confirmed in this chunk.  The first item with witnesses of any other
     class runs cpp_core.is_cpp_monomial on one witness, as the last step, so
     that the key is added only when the item returns; where the tower is
@@ -202,7 +201,7 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> d
     # also makes the orbit size divide n, since v_g = c f^(n/s)
     if not rep.is_good or tower is None or item.g.degree != tower.n + 1:
         return out
-    ws = witnesses_from_good(item.g, tower, 0, family=item.params.tag,
+    ws = witnesses_from_good(item.g, tower, family=item.params.tag,
                              params=dict(item.params.params), report=rep)
     pred = predicted_roots(item.params, tower)
     if pred is not None and pred != sorted(w.b for w in ws):

@@ -9,7 +9,7 @@ single Frobenius orbit; such g are called good.  This module provides:
 * v_g and the goodness report: the gate conditions first, then the
   single-orbit test, read off the first part of the lazy distinct-degree
   split of the radical of v_g (g is good iff that part is the whole
-  radical); the full orbit sizes are computed only on request;
+  radical);
 * the goodness class key: g up to h(x) = c g(c' x) and the Frobenius on its
   coefficients, which keep the verdict, so a scan runs goodness once per
   class in each chunk of items (one chunk per process);
@@ -20,18 +20,14 @@ single Frobenius orbit; such g are called good.  This module provides:
   output row is written once (in characteristic 2 both rotations are xored
   into it by one ufunc per segment); the values are int64, the index dtype
   numpy scatters by without a cast, for the injectivity test;
-* the Frobenius orbit sizes of the roots of a polynomial, from the same
-  split;
-* the CPM verdict of a witness b, the one place it is decided: the
-  criterion (`criterion_verdict`) that gcd(d, q^n - 1) = 1 and
-  G_b(t) = t·prod_i (t + b^(q^i)) permutes GF(q), evaluated over GF(q)
-  alone, and `cpp_verdict`, the brute force where the tower fits its tables
-  and the criterion otherwise;
+* the CPM verdict of a witness b: the gate (`gate`) that
+  gcd(d, q^n - 1) = 1 and a polynomial G over GF(q) permutes GF(q),
+  evaluated over GF(q) alone; `criterion_verdict`, the gate on
+  G_b(t) = t·prod_i (t + b^(q^i)); and `cpp_verdict`, the brute force where
+  the tower fits its tables and the criterion otherwise;
 * the witness elements b of a good g: one root of the radical of v_g located
-  in the tower, the rest its Frobenius orbit, and one verdict per orbit,
-  since being a CPM is invariant under x -> x^q.  The criterion is also
-  invariant under b -> c·b for c in GF(q)*, as G_(cb)(t) = c^(n+1)·G_b(t/c),
-  and so one verdict holds for every witness of a goodness class;
+  in the tower, the rest its Frobenius orbit, all labelled by the gate on g,
+  since G_b = g/lc(g) for every root b of v_g;
 * the scaling normalisation h(x) = c g(c' x) + e.
 """
 
@@ -62,7 +58,6 @@ from .poly import (
     char_poly_of,
     one_root,
     orbit_parts,
-    orbit_split,
     squarefree_part,
 )
 
@@ -296,15 +291,6 @@ class GoodnessReport:
         """The monic radical of v_g; irreducible exactly when g is good."""
         return self._radical if self._radical is not None else squarefree_part(self.vg)
 
-    @property
-    def orbit_sizes(self) -> tuple:
-        """Sizes of the Frobenius orbits of the roots of v_g, increasing.
-
-        Computed on each request from the full distinct-degree split, as
-        `orbit_structure` gives it; the verdict never needs them.
-        """
-        return tuple(orbit_structure(self.vg))
-
 
 def goodness(g: Poly) -> GoodnessReport:
     """Gate conditions plus the single-Frobenius-orbit test on v_g.
@@ -316,7 +302,7 @@ def goodness(g: Poly) -> GoodnessReport:
     the lazy distinct-degree split of the radical (`orbit_parts`): g is good
     iff d = deg(radical), so the part is the radical itself; otherwise the
     reason is RootInBaseField for d = 1 and MultipleOrbits for d > 1.  v_g is
-    never factored completely, and `orbit_sizes` is computed on demand.
+    never factored completely.
     """
     if g.degree < 2:
         raise ConstantPolynomial("need degree >= 2")
@@ -405,19 +391,6 @@ def _least_scaling(vec: list, D: int, N: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# orbit structure
-
-
-def orbit_structure(f: Poly) -> list:
-    """Frobenius orbit sizes of the distinct roots of f, increasing.
-
-    The sizes come from the distinct-degree split of the radical of f: a part
-    of degree-d irreducibles holds deg(part)/d orbits of size d.
-    """
-    return [d for d, part in orbit_split(f)[1] for _ in range(part.degree // d)]
-
-
-# ---------------------------------------------------------------------------
 # witnesses
 
 
@@ -426,26 +399,44 @@ VERIFIED_PERMUTATION = "Permutation"
 VERIFIED_CRITERION = "CriterionOnly"
 
 
-def criterion_verdict(b: int, tower: Tower) -> tuple:
-    """Whether b^(-1) x^d is a CPM of the tower, decided over GF(q): (rule, passed).
+def gate(g: Poly, tower: Tower) -> tuple:
+    """The CPM verdict that g over GF(q) gives its witnesses in the tower: (rule, passed).
 
     gcd(d, q^n - 1) > 1 makes x^d no permutation, whatever b is
     (VERIFIED_BRUTE, False).  Otherwise (VERIFIED_PERMUTATION): with
     N(x) = x^((q^n-1)/(q-1)), b^(-1) x^d + x = x·(1 + N(x)/b) permutes the
     tower iff x·N(1 + x/b) permutes GF(q) (the x·h(x^s) criterion; Park–Lee
-    2001, Zieve 2009), that is iff G_b(t) = t·prod_i (t + b^(q^i)) does; the
-    product's coefficients are `char_poly_of(b)`.  G_b is evaluated up to
-    the table cap; past it (only for n = 1 or a raised field bound) the
-    verdict is (VERIFIED_CRITERION, None).  No tower element is enumerated.
+    2001, Zieve 2009), that is iff G_b(t) = t·prod_i (t + b^(q^i)) does.
+    For a good g of degree n + 1 and any root b of v_g, G_b = g/lc(g):
+    g(0) = 0 gives g(t) = t·v_g(-t), and v_g = c·f^(n/s) with f the minimal
+    polynomial of b, of degree s, so v_g(x) = c·prod_(i<n) (x - b^(q^i)) and
+    g(t) = (-1)^n·c·G_b(t).  So the verdict is whether g permutes GF(q),
+    the same for every root of v_g.
+
+    It is also the same for every g of one `goodness_class`: h = c·g(c'x)
+    for c, c' in GF(q)* permutes GF(q) iff g does, as x -> c'x and y -> c·y
+    are bijections; so does g^tau for the coefficient Frobenius
+    tau: a -> a^p, as g^tau = tau∘g∘tau^(-1); and the gcd involves only the
+    tower.  g is evaluated up to the table cap of GF(q); past it (only for
+    n = 1 or a raised field bound) the verdict is (VERIFIED_CRITERION,
+    None).  No tower element is enumerated.
     """
     if math.gcd(cpp_exponent(tower), tower.order - 1) != 1:
         return VERIFIED_BRUTE, False
-    sym = char_poly_of(FqElem(tower, b), tower)
-    gb = Poly(tower.base, [0] + [a.val for a in reversed(sym)])
     try:
-        return VERIFIED_PERMUTATION, is_permutation(gb, brute_bound=HARD_BRUTE_CAP)
+        return VERIFIED_PERMUTATION, is_permutation(g, brute_bound=HARD_BRUTE_CAP)
     except FieldTooLarge:
         return VERIFIED_CRITERION, None
+
+
+def criterion_verdict(b: int, tower: Tower) -> tuple:
+    """Whether b^(-1) x^d is a CPM of the tower, decided over GF(q): (rule, passed).
+
+    The `gate` on G_b(t) = t·prod_i (t + b^(q^i)), whose lower coefficients
+    are `char_poly_of(b)`.
+    """
+    sym = char_poly_of(FqElem(tower, b), tower)
+    return gate(Poly(tower.base, [0] + [a.val for a in reversed(sym)]), tower)
 
 
 def cpp_verdict(b: int, tower: Tower,
@@ -523,11 +514,11 @@ def witness_from_json(obj: dict) -> CppWitness:
                       obj.get("passed"))
 
 
-def witnesses_from_good(g: Poly, tower: Tower,
-                        brute_bound: int = DEFAULT_BRUTE_BOUND,
-                        family: str = "", params: Optional[dict] = None,
+def witnesses_from_good(g: Poly, tower: Tower, family: str = "",
+                        params: Optional[dict] = None,
                         report: Optional[GoodnessReport] = None) -> list:
-    """One witness per distinct root of v_g, located inside the tower.
+    """One witness per distinct root of v_g, located inside the tower and
+    labelled by the gate on g.
 
     The correspondence holds only for deg g = n + 1 over GF(q) and the tower
     GF(q^n).  The radical of v_g, irreducible for a good g, has some degree
@@ -537,29 +528,10 @@ def witnesses_from_good(g: Poly, tower: Tower,
 
     The roots of the irreducible radical are one Frobenius orbit, so one root
     rho is located (`one_root`) and the witnesses are its orbit under
-    sigma(x) = x^q, sorted by encoding.  Being a CPM is invariant under
-    sigma, a field automorphism that commutes with x -> x^d:
-
-        sigma∘(b^(-1) x^d + x)∘sigma^(-1) = sigma(b)^(-1) x^d + x,
-
-    and a permutation conjugated by a field automorphism is a permutation
-    (likewise for b^(-1) x^d).  So only rho is decided (`cpp_verdict` with
-    brute_bound; 0 leaves it to `criterion_verdict`), and its rule and
-    verdict label every conjugate.
-
-    The verdict is shared further, by every item of one `goodness_class`.
-    For c in GF(q)*, the conjugates of c·b are c·b^(q^i), so
-
-        G_(cb)(t) = t·prod_i (t + c·b^(q^i)) = c^(n+1)·G_b(t/c),
-
-    and t -> t/c and the factor c^(n+1) are bijections of GF(q): c·b passes
-    the criterion iff b does (the gcd does not involve b).  For
-    h(x) = c·g(c'x), v_h(x) = c·c'·v_g(c'x), so the roots of v_h are those of
-    v_g divided by c', and the coefficient Frobenius tau: a -> a^p maps the
-    roots of v_g to those of v_(g^tau), where G_(tau(b)) = G_b^tau
-    coefficientwise permutes GF(q) iff G_b does.  So one criterion verdict
-    holds for all witnesses of a class, and a scan brute-forces one orbit
-    per class as a cross-check.
+    sigma(x) = x^q, sorted by encoding.  Every root b has G_b = g/lc(g), so
+    `gate(g, tower)` is the rule and verdict of each witness, and of every
+    witness of g's `goodness_class`; a scan brute-forces one witness per
+    class as a cross-check.
 
     Raises, checked in this order: NotGood when g is not good,
     OrbitSizeDoesNotDivideN when s does not divide n, DegreeNotNPlusOne
@@ -578,11 +550,10 @@ def witnesses_from_good(g: Poly, tower: Tower,
         raise DegreeNotNPlusOne(
             f"degree {g.degree} is not n + 1 = {tower.n + 1}")
     d = cpp_exponent(tower)
-    rho = one_root(rep.radical, tower).val
-    orbit = tower.orbit(rho)
+    orbit = tower.orbit(one_root(rep.radical, tower).val)
     if len(orbit) != s:
         raise OrbitSizeMismatch(f"root orbit has {len(orbit)} elements, not {s}")
-    verdict = cpp_verdict(rho, tower, brute_bound)
+    verdict = gate(g, tower)
     params = dict(params or {})
     return [CppWitness(tower, d, b, family, params, *verdict) for b in sorted(orbit)]
 

@@ -579,8 +579,10 @@ def classify_deg9(base: Fq, A: Iterable) -> Deg9Result:
     a1, a2, a3, a4, a5, a6, a7, a8 = A
     F = Poly(base, [0, a8, a7, a6, a5, a4, a3, a2, a1, 1])
     matches = []
-    if a1 == a2 == a4 == a5 == a7 == a8 == 0:
-        cond = Poly(base, [a6, 0, 0, a3, 0, 0, 1])
+    # with A3 != 0, x^9 + A3 x^6 + A6 x^3 = (x^3 + a x^2 + b x)^3 and that
+    # cubic is in no row of Dickson's table, so case i asks A3 = 0 too
+    if a1 == a2 == a3 == a4 == a5 == a7 == a8 == 0:
+        cond = Poly(base, [a6, 0, 0, 0, 0, 0, 1])
         if not has_root_in_units(cond):
             matches.append("i")
     if a1 == a2 == a3 == a4 == a5 == a7 == 0:

@@ -607,7 +607,7 @@ class Tower(Context):
         return digits[0]
 
     def __reduce__(self):
-        return (mk_tower_pmn, (self.base.p, self.base.m, self.n))
+        return (mk_tower, (self.base, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +658,6 @@ def mk_tower(base: Fq, n: int) -> Tower:
     ctx = Tower(base, n, ext)
     _TOWER_CACHE[key] = ctx
     return ctx
-
-
-def mk_tower_pmn(p: int, m: int, n: int) -> Tower:
-    """The interned GF((p^m)^n); also how a pickled tower is rebuilt."""
-    return mk_tower(mk_field(p, m), n)
 
 
 # ---------------------------------------------------------------------------
@@ -822,19 +817,6 @@ def root_of_unity(ctx: Context, s: int, extend: bool = False) -> FqElem:
     k = ord_mod(ctx.order, s)
     top = mk_tower(ctx, k)
     return root_of_unity(top, s)
-
-
-def embed(x: FqElem, frm: Context, to: Context) -> FqElem:
-    """Subfield embedding along the declared structure (identity on encodings)."""
-    if x.ctx is not frm:
-        raise ContextMismatch("element does not live in the source context")
-    if frm is to:
-        return x
-    if isinstance(to, Tower) and to.base is frm:
-        return FqElem(to, x.val)
-    if isinstance(frm, Fq) and frm.m == 1 and frm.p == to.p:
-        return FqElem(to, x.val)  # prime-field constants encode identically
-    raise NotASubfield(f"{frm!r} is not the declared base of {to!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -831,7 +831,9 @@ def one_root(f: Poly, ctx2: Context) -> FqElem:
     there is no gcd with x^|ctx2| - x: the caller vouches that f splits, for
     instance an irreducible f over GF(q) of degree dividing n in the tower
     GF(q^n); for any other f the descent need not end.  The seed is that of
-    `_split_roots`, so repeated calls give the same root.
+    `_split_roots`, so repeated calls give the same root.  The root only
+    lists encodings: `cpp_core.witnesses_from_good` takes its Frobenius
+    orbit as the witnesses, labelled by the gate on g, not by the root.
     """
     if f.degree < 1:
         raise ConstantPolynomial("need degree >= 1")

@@ -26,12 +26,12 @@ from cppforge.cpp_core import (
     cpp_normalize,
     cpp_verdict,
     criterion_verdict,
+    gate,
     goodness,
     goodness_class,
     is_cpp_monomial,
     is_cpp_poly,
     is_permutation,
-    orbit_structure,
     scalar_class_count,
     v_poly,
     witness_from_json,
@@ -45,6 +45,11 @@ F5 = mk_field(5, 1)
 F8 = mk_field(2, 3)
 F9 = mk_field(3, 2)
 T25 = mk_tower(F5, 2)
+
+
+def _orbit_sizes(f: Poly) -> tuple:
+    """Frobenius orbit sizes of the distinct roots of f, increasing, from orbit_split."""
+    return tuple(d for d, part in orbit_split(f)[1] for _ in range(part.degree // d))
 
 
 class TestVPoly:
@@ -342,18 +347,18 @@ class TestGoodness:
         g = (Poly.x(F5).shift(1)) ** 3 - Poly.constant(F5, 1)
         rep = goodness(g)
         assert rep.is_good and rep.reason == "Good"
-        assert rep.orbit_sizes == (2,)
+        assert _orbit_sizes(rep.vg) == (2,)
         assert rep.vg.coeffs == (3, 2, 1)
 
     def test_base_field_roots(self):
         rep = goodness(Poly(F8, [0, 1, 0, 0, 0, 0, 0, 0, 1]))
         assert not rep.is_good and rep.reason == "RootInBaseField"
-        assert rep.orbit_sizes == (1,) * 7
+        assert _orbit_sizes(rep.vg) == (1,) * 7
 
     def test_linearized_good(self):
         w = F4.primitive_element()
         rep = goodness(Poly(F4, [0, w, 0, 0, 1]))
-        assert rep.is_good and rep.orbit_sizes == (3,)
+        assert rep.is_good and _orbit_sizes(rep.vg) == (3,)
 
     def test_gate_reasons(self):
         rep = goodness(Poly(F5, [1, 1, 0, 1]))
@@ -369,7 +374,7 @@ class TestGoodness:
                 continue
             rep = goodness(g)
             assert factorize(rep.vg).expand() == rep.vg
-            assert rep.orbit_sizes == tuple(sorted(
+            assert _orbit_sizes(rep.vg) == tuple(sorted(
                 f.degree for f, _ in factorize(rep.vg).factors))
 
 
@@ -387,10 +392,10 @@ def _counting(mp, name: str) -> list:
 
 
 def _goodness_from_full_split(g: Poly) -> tuple:
-    """(is_good, reason, radical, orbit_sizes) read off the whole orbit_split(v_g)."""
+    """(is_good, reason, radical) read off the whole orbit_split(v_g)."""
     vg = v_poly(g)
-    radical, parts = orbit_split(vg)
-    sizes = tuple(d for d, part in parts for _ in range(part.degree // d))
+    radical = orbit_split(vg)[0]
+    sizes = _orbit_sizes(vg)
     if g.coeff(0) != 0:
         reason = "GZeroNonzero"
     elif vg.coeff(0) == 0:
@@ -399,7 +404,7 @@ def _goodness_from_full_split(g: Poly) -> tuple:
         reason = "Good"
     else:
         reason = "RootInBaseField" if sizes[0] == 1 else "MultipleOrbits"
-    return reason == "Good", reason, radical, sizes
+    return reason == "Good", reason, radical
 
 
 class TestGoodnessEarlyExit:
@@ -440,19 +445,21 @@ class TestGoodnessEarlyExit:
                 # terms: each Frobenius step is one pow_mod, not a row product
                 mp.setattr(poly, "_ROWS_MIN", 2)
             rep = goodness(g)
-            got = (rep.is_good, rep.reason, rep.radical, rep.orbit_sizes)
+            got = (rep.is_good, rep.reason, rep.radical)
             assert got == _goodness_from_full_split(g)
 
 
 class TestOrbitStructure:
+    """orbit_split's distinct-degree parts give the Frobenius orbit sizes."""
+
     def test_conjugate_pair(self):
-        assert orbit_structure(Poly(F5, [3, 2, 1])) == [2]
+        assert _orbit_sizes(Poly(F5, [3, 2, 1])) == (2,)
 
     def test_split_binomial(self):
-        assert orbit_structure(Poly(F8, [1, 0, 0, 0, 0, 0, 0, 1])) == [1] * 7
+        assert _orbit_sizes(Poly(F8, [1, 0, 0, 0, 0, 0, 0, 1])) == (1,) * 7
 
     def test_multiplicity_ignored(self):
-        assert orbit_structure(Poly(F2, [1, 1, 1]) ** 2) == [2]
+        assert _orbit_sizes(Poly(F2, [1, 1, 1]) ** 2) == (2,)
 
     def test_sizes_match_factor_degrees(self):
         rng = random.Random(4)
@@ -462,7 +469,7 @@ class TestOrbitStructure:
                 f = Poly(ctx, [rng.randrange(ctx.order)
                                for _ in range(rng.randrange(3, 9))] + [1])
                 degs = sorted(p.degree for p, _ in factorize(squarefree_part(f)).factors)
-                assert orbit_structure(f) == degs
+                assert _orbit_sizes(f) == tuple(degs)
 
     def test_sizes_match_sympy_factor_degrees(self):
         # an oracle that shares no code with the distinct-degree split
@@ -477,7 +484,7 @@ class TestOrbitStructure:
                 _, factors = galoistools.gf_factor(
                     [ZZ(c) for c in reversed(coeffs)], p, ZZ)
                 degs = sorted(len(g) - 1 for g, _ in factors)
-                assert orbit_structure(f) == degs
+                assert _orbit_sizes(f) == tuple(degs)
 
 
 class TestWitnesses:
@@ -485,7 +492,9 @@ class TestWitnesses:
         g = (Poly.x(F5).shift(1)) ** 3 - Poly.constant(F5, 1)
         ws = witnesses_from_good(g, T25)
         assert len(ws) == 2
-        assert all(w.verified == "BruteForce" and w.passed for w in ws)
+        # gcd(d, 24) = gcd(7, 24) = 1, so the gate's rule is Permutation
+        assert all(w.verified == "Permutation" and w.passed for w in ws)
+        assert all(is_cpp_monomial(w.b, T25) == w.passed for w in ws)
         # the two roots are Frobenius conjugates ...
         assert T25.frobenius(ws[0].b, 1) == ws[1].b
         # ... in two scalar classes: v_g = x^2 + 2x + 3 gives b + b^5 = 3, and
@@ -509,7 +518,9 @@ class TestWitnesses:
         for w in ws:
             assert vg.eval_at(w.b) == 0
             assert t4.frobenius(w.b, 2) == w.b
-            assert w.verified == "BruteForce" and w.passed
+            # gcd(d, 624) = gcd(157, 624) = 1
+            assert w.verified == "Permutation" and w.passed
+            assert is_cpp_monomial(w.b, t4) == w.passed
 
     def test_brute_force_over_its_table_cap_is_decided_by_the_criterion(self, monkeypatch):
         # odd-p brute force needs the digit matrix; over its cap the criterion
@@ -561,7 +572,7 @@ class TestWitnesses:
 
 
 class TestFrobeniusInvariance:
-    """witnesses_from_good brute-forces one root per orbit; keep the reason checked."""
+    """witnesses_from_good labels every root of v_g by the gate on g; keep the reason checked."""
 
     @pytest.mark.parametrize("base, n", [((5, 1), 2), ((3, 1), 4), ((2, 2), 3),
                                          ((2, 3), 2), ((2, 5), 2)])
@@ -586,11 +597,62 @@ class TestFrobeniusInvariance:
             if base.order ** tn > 1 << 19 or not goodness(item.g).is_good:
                 continue
             t = mk_tower(base, tn)
+            coprime = math.gcd(cpp_exponent(t), t.order - 1) == 1
             for w in witnesses_from_good(item.g, t):
-                assert w.verified == "BruteForce"
+                assert w.verified == ("Permutation" if coprime else "BruteForce")
                 assert is_cpp_monomial(w.b, t) == w.passed
                 checked += 1
         assert checked
+
+
+class TestGate:
+    """gate(g) labels the witnesses of g: G_b = g/lc(g) for every root b of v_g."""
+
+    @pytest.mark.parametrize("tag, base, n", [
+        ("A1", (2, 1), 4), ("A1", (2, 3), 4), ("A1", (3, 1), 4), ("A1", (5, 1), 2),
+        ("A2", (2, 1), 4), ("A2", (2, 3), 4), ("B", (3, 1), None), ("B", (5, 1), None),
+        ("D_lin2", (2, 2), None), ("D_lin2", (2, 3), None), ("D_lin2", (2, 4), None),
+        ("D_lin2", (3, 2), None), ("D_lin2", (3, 4), None), ("D_lin3", (2, 1), None),
+        ("D_lin3", (2, 2), None), ("D_lin3", (3, 1), None)])
+    def test_gate_on_g_equals_criterion_on_each_witness(self, tag, base, n):
+        base = mk_field(*base)
+        checked = 0
+        for item in enumerate_family(base, family_params(tag, base, n)):
+            if not isinstance(item, FamilyItem):
+                continue
+            tn = item.g.degree - 1
+            if base.order ** tn > 1 << 16:
+                continue
+            rep = goodness(item.g)
+            if not rep.is_good:
+                continue
+            t = mk_tower(base, tn)
+            verdict = gate(item.g, t)
+            for w in witnesses_from_good(item.g, t, report=rep):
+                assert (w.verified, w.passed) == verdict == criterion_verdict(w.b, t)
+                checked += 1
+        assert checked
+
+    def test_witnesses_need_no_conjugates_and_no_brute_force(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(cpp_core, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("char_poly_of", "is_cpp_monomial"):
+            monkeypatch.setattr(cpp_core, name, spy(name))
+        base = mk_field(2, 3)
+        t = mk_tower(base, 4)
+        ws = []
+        for item in enumerate_family(base, family_params("A2", base, 4)):
+            if isinstance(item, FamilyItem) and goodness(item.g).is_good:
+                ws += witnesses_from_good(item.g, t)
+        assert ws and any(w.passed for w in ws) and calls == []
 
 
 class TestScalingInvariance:
@@ -634,7 +696,7 @@ class TestScalarClassCount:
             if isinstance(item, FamilyItem) and item.g.degree == n + 1:
                 rep = goodness(item.g)
                 if rep.is_good:
-                    ws += witnesses_from_good(item.g, t, brute_bound=1, report=rep)
+                    ws += witnesses_from_good(item.g, t, report=rep)
         assert ws
         want = len({min(t.mul(w.b, c) for c in base.units()) for w in ws})
         assert scalar_class_count(ws) == want
@@ -665,7 +727,7 @@ class TestCppNormalize:
             assert rep.is_good == rep2.is_good
             checked += 1
             if rep.is_good:
-                s = rep.orbit_sizes[0]
+                s = rep.radical.degree
                 top = mk_tower(F9, s) if s > 1 else F9
                 r1 = {x.val for x, _ in roots_in(rep.vg, top)}
                 r2 = {x.val for x, _ in roots_in(rep2.vg, top)}

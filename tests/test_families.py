@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cppforge.cpp_core import goodness, v_poly
+from cppforge.cpp_core import goodness, is_permutation, v_poly
 from cppforge.families import (
     NotLinearizedShape,
     _deg9_forced_iii,
@@ -60,6 +60,26 @@ class TestDeg9CaseIii:
             assert classify_deg9(base, A).good == full
             verdicts.append(full)
         assert len(verdicts) == 270 and any(verdicts) and not all(verdicts)
+
+
+class TestDeg9CaseI:
+    """Case i is x^9 + A6 x^3 = (x^3 + b x)^3 with A3 = 0.
+
+    With A3 = a^3 != 0 the nonic is (x^3 + a x^2 + b x)^3, and no cubic with
+    an x^2 term permutes GF(3^m): it is in no row of Dickson's table.
+    """
+
+    @pytest.mark.parametrize("m, matches", [(1, 2), (2, 5)])
+    def test_every_match_permutes_gf_q(self, m, matches):
+        base = mk_field(3, m)
+        found = 0
+        for a3 in base.elements():
+            for a6 in base.elements():
+                res = classify_deg9(base, [0, 0, a3, 0, 0, a6, 0, 0])
+                if "i" in res.matches:
+                    assert a3 == 0 and is_permutation(res.f_poly)
+                    found += 1
+        assert found == matches
 
 
 class TestDeg9CaseIv:
