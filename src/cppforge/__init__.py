@@ -1,9 +1,10 @@
 """Complete permutation monomials over finite field towers.
 
-The package constructs, classifies, and brute-force verifies complete
-permutation monomials b^(-1) x^d with d = (q^n - 1)/(q - 1) + 1 over
-GF(q^n), through their correspondence with good permutation polynomials of
-degree n+1 over GF(q).
+The package constructs, classifies, and verifies complete permutation
+monomials b^(-1) x^d with d = (q^n - 1)/(q - 1) + 1 over GF(q^n), through
+their correspondence with good permutation polynomials of degree n+1 over
+GF(q).  A permutation test over GF(q) decides each verdict; a brute force
+over the tower cross-checks it where the tower is small enough.
 """
 
 from .gf import (

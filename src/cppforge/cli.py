@@ -13,16 +13,21 @@ classify is scan under another name: both go through run_scan, and their
 reports differ only in config.command and timingSec.  Every such report
 lists the params of the good items (predicted good and confirmed by the
 goodness oracle) in goodShapes, in enumeration order.  Each subcommand
-accepts only the options it reads.  scan labels the witnesses of a good g
-by the gate on g (cpp_core.gate: whether g permutes GF(q), one verdict for
-a whole goodness class) and, where the tower fits --brute-bound,
-brute-forces the first witness of each class in a chunk as a cross-check:
-a disagreement is a CrossCheckDisagreement.  counts.witnessClasses and
-counts.crossCheckedClasses are the distinct class keys with witnesses and
-with a completed brute force.  verify decides each witness by
-cpp_core.cpp_verdict, the brute force wherever it fits.  Both report a
-witness alike: its rule and verdict, a mismatch named after the rule when
-it fails, and the passed ones in verifiedCpp.
+accepts only the options it reads.
+
+One rule gives every witness its verdict, in scan and in verify: the gate
+(cpp_core.gate), that gcd(d, q^n - 1) = 1 and G_b = g/lc(g) permutes
+GF(q), evaluated over GF(q) alone.  scan applies it to g, one verdict for a
+whole goodness class; verify rebuilds G_b from each stored b
+(cpp_core.criterion_verdict).  A failed witness is a
+WitnessCriterionFailure, and the passed ones count in verifiedCpp.  The
+brute force (cpp_core.is_cpp_monomial) decides nothing; it cross-checks
+the gate wherever the tower fits gf.DEFAULT_BRUTE_BOUND (2^24, a constant,
+not an option) and the tables, under two policies: scan brute-forces the
+first witness of each class in a chunk, verify every witness.  A
+disagreement is a CrossCheckDisagreement.  counts.witnessClasses and
+counts.crossCheckedClasses of a scan are the distinct class keys with
+witnesses and with a completed brute force.
 
 A scan builds each family item in the process that checks it, right before
 its check, through one function, _scan_chunk, whatever the worker count.
@@ -63,22 +68,13 @@ from dataclasses import dataclass, field as dfield, replace
 from itertools import chain, repeat
 from typing import Optional
 
-from . import cpp_core
-from .gf import (
-    DEFAULT_BRUTE_BOUND,
-    FieldError,
-    FieldTooLarge,
-    HARD_BRUTE_CAP,
-    mk_field,
-    mk_tower,
-)
+from . import cpp_core, gf
+from .gf import FieldError, FieldTooLarge, mk_field, mk_tower
 from .cpp_core import (
-    VERIFIED_BRUTE,
-    VERIFIED_PERMUTATION,
     CppWitness,
     GoodnessReport,
     cpp_exponent,
-    cpp_verdict,
+    criterion_verdict,
     goodness,
     goodness_class,
     scalar_class_count,
@@ -97,12 +93,9 @@ class ScanConfig:
     n: Optional[int] = None
     family: str = ""
     ranges: dict = dfield(default_factory=dict)
-    brute_bound: int = DEFAULT_BRUTE_BOUND
     workers: int = 1
 
     def validate(self) -> None:
-        if self.brute_bound > HARD_BRUTE_CAP:
-            raise ValueError(f"brute bound exceeds hard cap {HARD_BRUTE_CAP}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not isinstance(self.ranges, dict) or not all(
@@ -140,15 +133,27 @@ class ScanReport:
         return 3 if self.internal_errors else 1 if self.mismatches else 0
 
 
-# the mismatch kind of a failed witness, by the rule that decided it
-_FAILURE_KINDS = {VERIFIED_BRUTE: "WitnessBruteForceFailure",
-                  VERIFIED_PERMUTATION: "WitnessCriterionFailure"}
-
-
 def _verdict_failures(witnesses: list) -> list:
     """One mismatch record per witness whose CPM verdict failed."""
-    return [{"kind": _FAILURE_KINDS[w.verified], "params": w.params, "b": w.b}
+    return [{"kind": "WitnessCriterionFailure", "params": w.params, "b": w.b}
             for w in witnesses if w.passed is False]
+
+
+def _cross_check(w: CppWitness) -> Optional[list]:
+    """Brute-force w's verdict: None where its tower is past
+    gf.DEFAULT_BRUTE_BOUND (read at each call) or a table cap, else the
+    CrossCheckDisagreement records, none or one, of w against
+    cpp_core.is_cpp_monomial."""
+    if w.tower.order > gf.DEFAULT_BRUTE_BOUND:
+        return None
+    try:
+        brute = cpp_core.is_cpp_monomial(w.b, w.tower)
+    except FieldTooLarge:
+        return None
+    if brute == w.passed:
+        return []
+    return [{"kind": "CrossCheckDisagreement", "params": w.params, "b": w.b,
+             "criterion": w.passed, "bruteForce": brute}]
 
 
 def _cpp_counts(witnesses: list) -> dict:
@@ -158,7 +163,7 @@ def _cpp_counts(witnesses: list) -> dict:
     return {"verifiedCpp": len(passed), "distinctCpp": len(set(passed))}
 
 
-def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> dict:
+def _scan_item(item, tower, verdicts: dict, checked: set) -> dict:
     """Check one enumerated item: its skip, or its verdicts and witnesses.
 
     A FamilyItem's prediction is cross-checked against goodness(); a good g
@@ -172,11 +177,11 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> d
     demand, for its witnesses).
 
     checked holds the class keys whose gate verdict a brute force has
-    confirmed in this chunk.  The first item with witnesses of any other
-    class runs cpp_core.is_cpp_monomial on one witness, as the last step, so
-    that the key is added only when the item returns; where the tower is
-    past brute_bound or a table cap, the class stays unchecked.  The result
-    of an item with witnesses carries its class key ("class"), and
+    checked in this chunk.  The first item with witnesses of any other
+    class cross-checks its first witness (_cross_check), as the last step,
+    so that the key is added only when the item returns; where the tower is
+    past the brute bound or a table cap, the class stays unchecked.  The
+    result of an item with witnesses carries its class key ("class"), and
     "crossChecked" when it ran the brute force.
     """
     if isinstance(item, FamilySkip):
@@ -209,15 +214,9 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> d
                                   "params": item.params.params})
     out["mismatches"].extend(_verdict_failures(ws))
     out["witnesses"], out["class"] = ws, key
-    if key not in checked and tower.order <= brute_bound:
-        try:
-            brute = cpp_core.is_cpp_monomial(ws[0].b, tower, brute_bound)
-        except FieldTooLarge:
-            return out
-        if brute != ws[0].passed:
-            out["mismatches"].append({
-                "kind": "CrossCheckDisagreement", "params": item.params.params,
-                "b": ws[0].b, "criterion": ws[0].passed, "bruteForce": brute})
+    disagreements = None if key in checked else _cross_check(ws[0])
+    if disagreements is not None:
+        out["mismatches"].extend(disagreements)
         checked.add(key)
         out["crossChecked"] = True
     return out
@@ -227,7 +226,7 @@ def _scan_item(item, tower, brute_bound: int, verdicts: dict, checked: set) -> d
 _TRACEBACK_LINES = 6
 
 
-def _scan_chunk(params: list, base, tower, brute_bound: int) -> list:
+def _scan_chunk(params: list, base, tower) -> list:
     """Build and check the items of params, each right before its check.
 
     Returns one result per FamilyParams, in order.  One goodness verdict per
@@ -244,7 +243,7 @@ def _scan_chunk(params: list, base, tower, brute_bound: int) -> list:
     while len(results) < len(params):
         try:
             for item in enumerate_family(base, params[len(results):]):
-                results.append(_scan_item(item, tower, brute_bound, verdicts, checked))
+                results.append(_scan_item(item, tower, verdicts, checked))
         except FieldError:
             raise
         except Exception as err:  # one failing item must not end the scan
@@ -279,7 +278,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     witness_classes, checked_classes = set(), set()
     size = max(1, math.ceil(len(params) / config.workers))
     chunks = [params[i:i + size] for i in range(0, len(params), size)]
-    args = (_scan_chunk, chunks, repeat(base), repeat(tower), repeat(config.brute_bound))
+    args = (_scan_chunk, chunks, repeat(base), repeat(tower))
     if config.workers == 1:
         parts = list(map(*args))
     else:
@@ -313,8 +312,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
                   crossCheckedClasses=len(checked_classes))
     return ScanReport(
         config={"command": config.command, "p": config.p, "m": config.m, "n": n,
-                "family": config.family, "bruteBound": config.brute_bound,
-                "workers": config.workers},
+                "family": config.family, "workers": config.workers},
         counts=counts,
         witnesses=witnesses,
         mismatches=mismatches,
@@ -326,10 +324,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
     )
 
 
-def verify_witness_file(path: str,
-                        brute_bound: int = DEFAULT_BRUTE_BOUND) -> ScanReport:
-    """Decide each stored witness again with cpp_verdict: the brute force
-    wherever the tower fits, so each witness gets its own exhaustive audit.
+def verify_witness_file(path: str) -> ScanReport:
+    """Decide each stored witness again by criterion_verdict, and cross-check
+    every one whose tower fits the brute force (_cross_check).
 
     Every witness that parses is listed, counted and reported with the rule
     and verdict computed here, not those stored.  An unparsable record is a
@@ -360,11 +357,12 @@ def verify_witness_file(path: str,
         if d != w.d:
             mismatches.append({"kind": "ExponentMismatch", "b": w.b,
                                "stored": w.d, "actual": d})
-        verified, passed = cpp_verdict(w.b, w.tower, brute_bound)
-        witnesses.append(replace(w, verified=verified, passed=passed))
-        mismatches.extend(_verdict_failures(witnesses[-1:]))
+        verified, passed = criterion_verdict(w.b, w.tower)
+        w = replace(w, verified=verified, passed=passed)
+        witnesses.append(w)
+        mismatches += _verdict_failures([w]) + (_cross_check(w) or [])
     return ScanReport(
-        config={"command": "verify", "path": path, "bruteBound": brute_bound},
+        config={"command": "verify", "path": path},
         counts={"constructed": len(witnesses), "predictedGood": 0,
                 "refuted": 0, "skipped": 0, **_cpp_counts(witnesses)},
         witnesses=witnesses,
@@ -468,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     def report_opts(sp):
-        sp.add_argument("--brute-bound", type=int, default=DEFAULT_BRUTE_BOUND)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", type=str, choices=("json", "csv"),
                         default="json")
@@ -506,7 +503,7 @@ def main(argv: Optional[list] = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
-        report = verify_witness_file(args.path, args.brute_bound)
+        report = verify_witness_file(args.path)
         _write_report(report, args.out, args.format)
         return report.exit_code
     if args.command == "field-info":
@@ -532,7 +529,7 @@ def _run(args: argparse.Namespace) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
     config = ScanConfig(args.command, args.p, args.m, args.n, args.family,
-                        ranges, args.brute_bound, args.workers)
+                        ranges, args.workers)
     report = run_scan(config)
     _write_report(report, args.out, args.format)
     return report.exit_code

@@ -20,11 +20,11 @@ single Frobenius orbit; such g are called good.  This module provides:
   output row is written once (in characteristic 2 both rotations are xored
   into it by one ufunc per segment); the values are int64, the index dtype
   numpy scatters by without a cast, for the injectivity test;
-* the CPM verdict of a witness b: the gate (`gate`) that
-  gcd(d, q^n - 1) = 1 and a polynomial G over GF(q) permutes GF(q),
-  evaluated over GF(q) alone; `criterion_verdict`, the gate on
-  G_b(t) = t·prod_i (t + b^(q^i)); and `cpp_verdict`, the brute force where
-  the tower fits its tables and the criterion otherwise;
+* the CPM verdict of a witness b, the only one the package gives: the gate
+  (`gate`) that gcd(d, q^n - 1) = 1 and a polynomial G over GF(q) permutes
+  GF(q), evaluated over GF(q) alone, and `criterion_verdict`, the gate on
+  G_b(t) = t·prod_i (t + b^(q^i)).  The brute force `is_cpp_monomial`
+  decides nothing; callers run it only to cross-check the gate;
 * the witness elements b of a good g: one root of the radical of v_g located
   in the tower, the rest its Frobenius orbit, all labelled by the gate on g,
   since G_b = g/lc(g) for every root b of v_g;
@@ -233,26 +233,25 @@ def is_permutation(f: Poly, ctx: Optional[Context] = None,
     return _is_injective_values(vals, ctx.order)
 
 
-def is_cpp_poly(f: Poly, ctx: Optional[Context] = None,
-                brute_bound: int = DEFAULT_BRUTE_BOUND) -> bool:
+def is_cpp_poly(f: Poly, ctx: Optional[Context] = None) -> bool:
     """Whether both f and f + x permute ctx."""
     ctx = ctx or f.ctx
-    if not is_permutation(f, ctx, brute_bound):
+    if not is_permutation(f, ctx):
         return False
-    return is_permutation(f + Poly.x(f.ctx), ctx, brute_bound)
+    return is_permutation(f + Poly.x(f.ctx), ctx)
 
 
 def cpp_exponent(tower: Tower) -> int:
     return (tower.order - 1) // (tower.q - 1) + 1
 
 
-def is_cpp_monomial(b, tower: Tower,
-                    brute_bound: int = DEFAULT_BRUTE_BOUND) -> bool:
+def is_cpp_monomial(b, tower: Tower) -> bool:
     """Exhaustively check that b^(-1) x^d is a complete permutation monomial.
 
     d is the reduced exponent (q^n - 1)/(q - 1) + 1.  True iff
     gcd(d, q^n - 1) = 1 and x -> b^(-1) x^d + x is injective on the tower.
-    Past the brute bound or a table cap, raises FieldTooLarge after the gcd.
+    Past DEFAULT_BRUTE_BOUND or a table cap, raises FieldTooLarge after the
+    gcd.
     """
     bval = as_int(b)
     if isinstance(b, FqElem) and b.ctx is not tower:
@@ -263,7 +262,7 @@ def is_cpp_monomial(b, tower: Tower,
     if math.gcd(d, tower.order - 1) != 1:
         return False
     binv = tower.inv(bval)
-    vals = _eval_all_sparse(tower, {d: binv, 1: 1}, brute_bound)
+    vals = _eval_all_sparse(tower, {d: binv, 1: 1}, DEFAULT_BRUTE_BOUND)
     return _is_injective_values(vals, tower.order)
 
 
@@ -394,7 +393,6 @@ def _least_scaling(vec: list, D: int, N: int) -> list:
 # witnesses
 
 
-VERIFIED_BRUTE = "BruteForce"
 VERIFIED_PERMUTATION = "Permutation"
 VERIFIED_CRITERION = "CriterionOnly"
 
@@ -402,11 +400,13 @@ VERIFIED_CRITERION = "CriterionOnly"
 def gate(g: Poly, tower: Tower) -> tuple:
     """The CPM verdict that g over GF(q) gives its witnesses in the tower: (rule, passed).
 
-    gcd(d, q^n - 1) > 1 makes x^d no permutation, whatever b is
-    (VERIFIED_BRUTE, False).  Otherwise (VERIFIED_PERMUTATION): with
-    N(x) = x^((q^n-1)/(q-1)), b^(-1) x^d + x = x·(1 + N(x)/b) permutes the
-    tower iff x·N(1 + x/b) permutes GF(q) (the x·h(x^s) criterion; Park–Lee
-    2001, Zieve 2009), that is iff G_b(t) = t·prod_i (t + b^(q^i)) does.
+    A CPM b^(-1) x^d must itself permute the tower, and x^d permutes
+    GF(q^n) iff gcd(d, q^n - 1) = 1; so a larger gcd fails every b, decided
+    by that permutation test of x^d (VERIFIED_PERMUTATION, False).
+    Otherwise (VERIFIED_PERMUTATION): with N(x) = x^((q^n-1)/(q-1)),
+    b^(-1) x^d + x = x·(1 + N(x)/b) permutes the tower iff x·N(1 + x/b)
+    permutes GF(q) (the x·h(x^s) criterion; Park–Lee 2001, Zieve 2009),
+    that is iff G_b(t) = t·prod_i (t + b^(q^i)) does.
     For a good g of degree n + 1 and any root b of v_g, G_b = g/lc(g):
     g(0) = 0 gives g(t) = t·v_g(-t), and v_g = c·f^(n/s) with f the minimal
     polynomial of b, of degree s, so v_g(x) = c·prod_(i<n) (x - b^(q^i)) and
@@ -417,12 +417,12 @@ def gate(g: Poly, tower: Tower) -> tuple:
     for c, c' in GF(q)* permutes GF(q) iff g does, as x -> c'x and y -> c·y
     are bijections; so does g^tau for the coefficient Frobenius
     tau: a -> a^p, as g^tau = tau∘g∘tau^(-1); and the gcd involves only the
-    tower.  g is evaluated up to the table cap of GF(q); past it (only for
-    n = 1 or a raised field bound) the verdict is (VERIFIED_CRITERION,
-    None).  No tower element is enumerated.
+    tower.  g is evaluated up to HARD_BRUTE_CAP, the table cap of GF(q);
+    past it (only for n = 1 or a raised field bound) the verdict is
+    (VERIFIED_CRITERION, None).  No tower element is enumerated.
     """
     if math.gcd(cpp_exponent(tower), tower.order - 1) != 1:
-        return VERIFIED_BRUTE, False
+        return VERIFIED_PERMUTATION, False
     try:
         return VERIFIED_PERMUTATION, is_permutation(g, brute_bound=HARD_BRUTE_CAP)
     except FieldTooLarge:
@@ -437,22 +437,6 @@ def criterion_verdict(b: int, tower: Tower) -> tuple:
     """
     sym = char_poly_of(FqElem(tower, b), tower)
     return gate(Poly(tower.base, [0] + [a.val for a in reversed(sym)]), tower)
-
-
-def cpp_verdict(b: int, tower: Tower,
-                brute_bound: int = DEFAULT_BRUTE_BOUND) -> tuple:
-    """Whether b^(-1) x^d is a CPM of the tower, as (rule, passed).
-
-    is_cpp_monomial decides where the tower fits brute_bound and the tables
-    (VERIFIED_BRUTE); otherwise `criterion_verdict` does.  A brute_bound
-    below the tower's order leaves every b to the criterion.
-    """
-    if tower.order <= brute_bound:
-        try:
-            return VERIFIED_BRUTE, is_cpp_monomial(b, tower, brute_bound)
-        except FieldTooLarge:
-            pass
-    return criterion_verdict(b, tower)
 
 
 @dataclass(frozen=True)

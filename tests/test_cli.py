@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import cppforge
-from cppforge import cli, cpp_core, families
+from cppforge import cli, cpp_core, families, gf
 from cppforge.cli import ScanConfig, main, run_scan
 from cppforge.cpp_core import goodness
-from cppforge.gf import HARD_BRUTE_CAP, mk_field, mk_tower
+from cppforge.gf import mk_field, mk_tower
 
 
 def _run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
@@ -212,9 +212,9 @@ def _spy_brute_force(monkeypatch, result=lambda b, brute: brute) -> list:
     calls = []
     real = cpp_core.is_cpp_monomial
 
-    def spy(b, tower, brute_bound):
+    def spy(b, tower):
         calls.append(b)
-        return result(b, real(b, tower, brute_bound))
+        return result(b, real(b, tower))
 
     monkeypatch.setattr(cpp_core, "is_cpp_monomial", spy)
     return calls
@@ -259,7 +259,8 @@ class TestCrossCheckOncePerClass:
 
     def test_tower_past_the_brute_bound_is_not_cross_checked(self, monkeypatch):
         calls = _spy_brute_force(monkeypatch)
-        report = run_scan(ScanConfig("scan", brute_bound=8, **A1_CASE))
+        monkeypatch.setattr(gf, "DEFAULT_BRUTE_BOUND", 8)
+        report = run_scan(ScanConfig("scan", **A1_CASE))
         assert calls == [] and report.mismatches == []
         assert report.counts["witnessClasses"] == 1
         assert report.counts["crossCheckedClasses"] == 0
@@ -276,7 +277,7 @@ class TestFamilyBPastTheTower:
 
 
 class TestVerdictRules:
-    """scan and verify decide each witness by cpp_verdict and report it alike."""
+    """scan and verify decide each witness by the gate and report it alike."""
 
     # GF(16) with n = 1: g = x^2 + zeta x is good but does not permute GF(16)
     D2_SCAN = ["scan", "--p", "2", "--m", "4", "--family", "D_lin2", "--n", "1"]
@@ -285,18 +286,22 @@ class TestVerdictRules:
     def _verdicts(report: dict) -> list:
         return [(w["verified"], w["passed"]) for w in report["witnesses"]]
 
-    def test_d2_witness_fails_the_criterion(self, tmp_path):
-        # G_b = t (t + b) vanishes at 0 and b, so it is no permutation of GF(16)
+    def test_d2_witness_fails_the_criterion(self, tmp_path, monkeypatch):
+        # G_b = t (t + b) vanishes at 0 and b, so it is no permutation of
+        # GF(16); with the brute bound below 16 nothing but the gate runs
+        monkeypatch.setattr(gf, "DEFAULT_BRUTE_BOUND", 8)
+        calls = _spy_brute_force(monkeypatch)
         path, out = tmp_path / "d2.json", tmp_path / "verify.json"
         assert main(self.D2_SCAN + ["--out", str(path)]) == 1
-        assert main(["verify", str(path), "--brute-bound", "8", "--out", str(out)]) == 1
-        report = json.loads(out.read_text())
-        assert [m["kind"] for m in report["mismatches"]] == ["WitnessCriterionFailure"]
-        assert self._verdicts(report) == [("Permutation", False)]
-        assert report["counts"]["verifiedCpp"] == report["counts"]["distinctCpp"] == 0
+        assert main(["verify", str(path), "--out", str(out)]) == 1
+        for report in (json.loads(path.read_text()), json.loads(out.read_text())):
+            assert [m["kind"] for m in report["mismatches"]] == ["WitnessCriterionFailure"]
+            assert self._verdicts(report) == [("Permutation", False)]
+            assert report["counts"]["verifiedCpp"] == report["counts"]["distinctCpp"] == 0
+        assert calls == []
 
     def test_verify_reports_its_own_verdict(self, tmp_path):
-        # the file claims a passed brute force; verify lists and counts its own
+        # the file claims a passed witness; verify lists and counts its own
         path, out = tmp_path / "d2.json", tmp_path / "verify.json"
         assert main(self.D2_SCAN + ["--out", str(path)]) == 1
         obj = json.loads(path.read_text())
@@ -304,17 +309,53 @@ class TestVerdictRules:
         path.write_text(json.dumps(obj))
         assert main(["verify", str(path), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
-        assert [m["kind"] for m in report["mismatches"]] == ["WitnessBruteForceFailure"]
-        assert self._verdicts(report) == [("BruteForce", False)]
+        assert [m["kind"] for m in report["mismatches"]] == ["WitnessCriterionFailure"]
+        assert self._verdicts(report) == [("Permutation", False)]
         assert report["counts"]["verifiedCpp"] == 0
 
-    def test_scan_past_the_bound_decides_by_the_criterion(self, tmp_path):
+    def test_scan_past_the_bound_decides_by_the_criterion(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gf, "DEFAULT_BRUTE_BOUND", 8)
         out = tmp_path / "scan.json"
         assert main(["scan", "--family", "A1", "--p", "2", "--m", "3", "--n", "4",
-                     "--brute-bound", "8", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert set(self._verdicts(report)) == {("Permutation", True)}
         assert report["counts"]["verifiedCpp"] == len(report["witnesses"]) == 28
+        assert report["counts"]["crossCheckedClasses"] == 0
+
+    def test_gcd_above_one_fails_by_the_permutation_rule(self, tmp_path, monkeypatch):
+        # GF(7^2): d = 9 and gcd(9, 48) = 3, so x^d, and with it 3^(-1) x^d,
+        # is no permutation; the brute force says so too, and there is no
+        # disagreement
+        calls = _spy_brute_force(monkeypatch)
+        path, out = tmp_path / "gf49.json", tmp_path / "verify.json"
+        path.write_text(json.dumps({"witnesses": [{
+            "p": 7, "m": 1, "n": 2, "modulus": [0, 1], "extModulus": [[1], [0], [1]],
+            "d": 9, "b": [[3], [0]], "family": "", "params": {},
+            "verified": "Permutation", "passed": True}]}))
+        assert main(["verify", str(path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert self._verdicts(report) == [("Permutation", False)]
+        assert [m["kind"] for m in report["mismatches"]] == ["WitnessCriterionFailure"]
+        assert calls == [3]
+
+    def test_verify_reads_a_file_with_brute_force_labels(self, tmp_path):
+        # a file written before the gate decided verify: its config carries
+        # bruteBound and its witnesses the rule BruteForce; verify reads it
+        # and reports its own rule
+        path, out = tmp_path / "old.json", tmp_path / "verify.json"
+        assert main(["scan", "--family", "A1", "--p", "3", "--m", "1", "--n", "4",
+                     "--range", '{"e": [1]}', "--out", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        obj["config"] = {"command": "verify", "path": "witnesses.json",
+                         "bruteBound": 1 << 24}
+        obj["witnesses"] = [dict(w, verified="BruteForce") for w in obj["witnesses"]]
+        path.write_text(json.dumps(obj))
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert self._verdicts(report) == [("Permutation", True)] * 4
+        assert report["mismatches"] == []
+        assert report["config"] == {"command": "verify", "path": str(path)}
 
     def test_criterion_over_a_prime_past_a_signed_byte(self, tmp_path):
         # 137^4 is past the brute bound, so G_b = (t + 1)^5 - 1 is evaluated
@@ -329,6 +370,41 @@ class TestVerdictRules:
 
 
 class TestWitnessFileRoundTrip:
+    # GF(16) with n = 1 is D2 (one failed witness); A1 over GF(9^4) has no
+    # good item, so no witness
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, witnesses", [
+        (["D_lin2", "--p", "2", "--m", "4", "--n", "1"], 1),
+        (["A2", "--p", "2", "--m", "3", "--n", "4"], 210),
+        (["A1", "--p", "3", "--m", "2", "--n", "4"], 0),
+        (["B", "--p", "5", "--n", "4"], 76),
+        (["D_lin3", "--p", "2", "--m", "3", "--n", "7"], 7),
+    ], ids=["D2", "A2", "A1", "B", "D_lin3"])
+    def test_verify_reproduces_each_verdict_of_the_scan(self, tmp_path, monkeypatch,
+                                                        argv, witnesses, fmt):
+        scanned, verified = tmp_path / f"witnesses.{fmt}", tmp_path / "verify.json"
+        code = main(["scan", "--family", *argv, "--out", str(tmp_path / "scan.json")])
+        assert main(["scan", "--family", *argv, "--format", fmt,
+                     "--out", str(scanned)]) == code
+        calls = _spy_brute_force(monkeypatch)
+        assert main(["verify", str(scanned), "--out", str(verified)]) == code
+        scan = json.loads((tmp_path / "scan.json").read_text())
+        report = json.loads(verified.read_text())
+
+        def listed(rep):
+            return [(w["b"], w["verified"], w["passed"]) for w in rep["witnesses"]]
+
+        def failures(rep):
+            return [m["kind"] for m in rep["mismatches"] if m["kind"].startswith("Witness")]
+
+        assert len(scan["witnesses"]) == witnesses
+        assert listed(report) == listed(scan)
+        # the same failure kinds, and no CrossCheckDisagreement beside them
+        assert failures(report) == failures(scan)
+        assert [m["kind"] for m in report["mismatches"]] == failures(report)
+        # every witness fits the brute bound, so each is cross-checked once
+        assert len(calls) == witnesses
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_scan_then_verify(self, tmp_path, fmt):
         scanned = tmp_path / f"witnesses.{fmt}"
@@ -440,7 +516,6 @@ SCAN = ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
     SCAN + ["--range", '{"e": [1'],
     SCAN + ["--workers", "0"],
     ["scan", "--p", "6", "--n", "4", "--family", "A1"],
-    SCAN + ["--brute-bound", str(HARD_BRUTE_CAP + 1)],
     ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A9"],
     ["scan", "--p", "2", "--m", "3", "--family", "A1"],
     SCAN + ["--range", '{"e": [1]}', "--out", "no-such-dir/report.json"],
@@ -450,7 +525,7 @@ SCAN = ["scan", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
     SCAN + ["--range", '{"e": [8]}'],
     ["field-info", "--p", "3", "--n", "0"],
 ], ids=["missing-file", "range-list", "range-int", "bad-json", "workers-0",
-        "p-not-prime", "brute-bound", "unknown-family", "a1-without-n",
+        "p-not-prime", "unknown-family", "a1-without-n",
         "out-not-writable", "deg9-unread-key", "a2-unread-key", "range-value",
         "field-info-n-0"])
 def test_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
@@ -548,6 +623,9 @@ CONSTRUCT = ["construct", "--p", "2", "--m", "3", "--n", "4", "--family", "A1"]
     CONSTRUCT + ["--workers", "7"],
     CONSTRUCT + ["--out", "items.json"],
     CONSTRUCT + ["--format", "csv"],
+    SCAN + ["--brute-bound", "5"],
+    ["classify", "--family", "Deg9", "--p", "3", "--brute-bound", "5"],
+    ["verify", "witnesses.json", "--brute-bound", "5"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_options_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -24,7 +24,6 @@ from cppforge.cpp_core import (
     _is_injective_values,
     cpp_exponent,
     cpp_normalize,
-    cpp_verdict,
     criterion_verdict,
     gate,
     goodness,
@@ -180,7 +179,7 @@ class TestCppMonomial:
 
 
 class TestCppVerdict:
-    """cpp_verdict: brute force within the bound, else G_b over GF(q)."""
+    """criterion_verdict, G_b over GF(q), is the verdict; the brute force only checks it."""
 
     # the 24 towers of order <= 625 are few enough for hypothesis to draw
     # them all; a G_b with its coefficients reversed passes on all but
@@ -188,15 +187,20 @@ class TestCppVerdict:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(p=st.sampled_from([2, 3, 5, 7]), m=st.integers(1, 2), n=st.integers(1, 4))
     def test_criterion_equals_brute_force_on_every_unit(self, p, m, n):
-        # a brute bound of 1 sends every unit with gcd(d, q^n - 1) = 1 to the
-        # criterion; the others are decided by the gcd alone
+        # with the brute bound lowered to 1 no tower fits it, so the verdict
+        # is the criterion's for every unit, by a permutation test over
+        # GF(q) or, for gcd(d, q^n - 1) > 1, of x^d; the brute force runs
+        # under the real bound to compare
         assume(p ** (m * n) <= 625)
         t = mk_tower(mk_field(p, m), n)
         coprime = math.gcd(cpp_exponent(t), t.order - 1) == 1
-        for b in t.units():
-            rule, passed = cpp_verdict(b, t, brute_bound=1)
-            assert rule == ("Permutation" if coprime else "BruteForce")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf, "DEFAULT_BRUTE_BOUND", 1)
+            verdicts = {b: criterion_verdict(b, t) for b in t.units()}
+        for b, (rule, passed) in verdicts.items():
+            assert rule == "Permutation"
             assert passed == is_cpp_monomial(b, t)
+            assert coprime or passed is False
 
     def test_criterion_evaluates_over_gf_q_only(self, monkeypatch):
         # criterion_verdict neither brute-forces nor evaluates over the tower
@@ -216,20 +220,25 @@ class TestCppVerdict:
         assert seen == [F8] * 4
 
     def test_brute_force_within_the_bound(self):
-        assert cpp_verdict(9, T25) == ("BruteForce", True)
-        assert cpp_verdict(1, T25) == ("BruteForce", False)
+        # GF(5^2): d = 7, gcd(7, 24) = 1, so G_b over GF(5) decides and the
+        # brute force over all 25 elements agrees
+        assert criterion_verdict(9, T25) == ("Permutation", True)
+        assert criterion_verdict(1, T25) == ("Permutation", False)
+        assert is_cpp_monomial(9, T25) and not is_cpp_monomial(1, T25)
 
     def test_criterion_only_past_the_tables_of_gf_q(self, monkeypatch):
         # n = 1 (d = 2, coprime to q - 1 for even q only): the tower is GF(q)
-        # itself, so with GF(16) over the table cap neither the brute force
-        # nor G_b can be evaluated
+        # itself, so with GF(16) over the table cap G_b cannot be evaluated,
+        # nor can the brute force that would check it
         f16 = mk_field(2, 4)
         t = mk_tower(f16, 1)
         for ctx in (t, f16):
             for name in ("_exp", "_log", "_rows"):
                 monkeypatch.setattr(ctx, name, None)
         monkeypatch.setattr(gf, "HARD_BRUTE_CAP", f16.order - 1)
-        assert cpp_verdict(2, t) == ("CriterionOnly", None)
+        assert criterion_verdict(2, t) == ("CriterionOnly", None)
+        with pytest.raises(FieldTooLarge):
+            is_cpp_monomial(2, t)
 
 
 class TestRowLayout:
@@ -599,7 +608,9 @@ class TestFrobeniusInvariance:
             t = mk_tower(base, tn)
             coprime = math.gcd(cpp_exponent(t), t.order - 1) == 1
             for w in witnesses_from_good(item.g, t):
-                assert w.verified == ("Permutation" if coprime else "BruteForce")
+                # the gcd is a permutation test of x^d: a larger one fails b
+                assert w.verified == "Permutation"
+                assert coprime or w.passed is False
                 assert is_cpp_monomial(w.b, t) == w.passed
                 checked += 1
         assert checked
