@@ -37,12 +37,14 @@ each process draws its chunk's items from enumerate_family one at a time and
 checks each with _scan_item before building the next.  Building an item
 decides its family's verdict over GF(q); the scan owns the tower, and the
 roots that A1, A2 and B predict are expressed in it only for an item whose
-witnesses are there to compare them with.  The first brute force in a
-process builds the tower's exp/log tables there, so the root comparisons
-after it use tabled tower multiplication; with --workers k > 1 the parent
-builds no item and no table, but imports numpy (which only tables need, and
-every witness verdict needs tables of GF(q) at least) when a tower is
-given, so the forked workers share that import.  Results are merged in
+witnesses are there to compare them with.  The first item with witnesses
+in a process builds the tower's exp/log tables there, where the tower fits
+the brute force that cross-checks it, before it locates its root, so root
+location and the root comparisons use tabled tower multiplication from the
+first witness on.  With --workers k > 1 the parent builds no item and no
+table, but imports numpy (which only tables need, and every witness verdict
+needs tables of GF(q) at least) when a tower is given, so the forked
+workers share that import.  Results are merged in
 enumeration order.  An exception other than FieldError while building or
 checking one item becomes an internalErrors record and the scan goes on.  goodness runs once per
 equivalence class in each chunk (cpp_core.goodness_class: g up to c·g(c'x)
@@ -206,6 +208,12 @@ def _scan_item(item, tower, verdicts: dict, checked: set) -> dict:
     # also makes the orbit size divide n, since v_g = c f^(n/s)
     if not rep.is_good or tower is None or item.g.degree != tower.n + 1:
         return out
+    # the cross-check below builds these tables where the tower fits;
+    # built first, they carry the tower multiplications of one_root
+    try:
+        cpp_core.brute_force_tables(tower, gf.DEFAULT_BRUTE_BOUND)
+    except FieldTooLarge:
+        pass
     ws = witnesses_from_good(item.g, tower, family=item.params.tag,
                              params=dict(item.params.params), report=rep)
     pred = predicted_roots(item.params, tower)

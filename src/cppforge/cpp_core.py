@@ -15,11 +15,12 @@ single Frobenius orbit; such g are called good.  This module provides:
   class in each chunk of items (one chunk per process);
 * brute-force permutation / complete-permutation oracles over the whole
   field: the units are laid out in rows by the cosets of the units of the
-  base field, so each term of b^(-1) x^d + x is a rotation of one row of the
-  int32 exp table, and the values come zero first, then row by row.  Each
-  output row is written once (in characteristic 2 both rotations are xored
-  into it by one ufunc per segment); the values are int64, the index dtype
-  numpy scatters by without a cast, for the injectivity test;
+  base field, the order in which the int32 exp table is stored, so each term
+  of b^(-1) x^d + x is a rotation of one of its rows.  The values are made a
+  block of whole rows at a time, each row written once (in characteristic 2
+  both rotations are xored into it by one ufunc per segment), and each block
+  is scattered into a bool cover of the field before the next is made; the
+  map permutes the field iff the cover is full;
 * the CPM verdict of a witness b, the only one the package gives: the gate
   (`gate`) that gcd(d, q^n - 1) = 1 and a polynomial G over GF(q) permutes
   GF(q), evaluated over GF(q) alone, and `criterion_verdict`, the gate on
@@ -49,6 +50,7 @@ from .gf import (
     FqElem,
     HARD_BRUTE_CAP,
     Tower,
+    _BLOCK,
     as_int,
     mk_tower,
 )
@@ -106,47 +108,49 @@ def v_poly(g: Poly) -> Poly:
 # vectorised full-field evaluation
 
 
-def _eval_all_sparse(ctx: Context, terms: dict, brute_bound: int) -> np.ndarray:
-    """Values of sum(c_j x^j) over every field element, zero first.
+def brute_force_tables(ctx: Context, brute_bound: int) -> Optional[np.ndarray]:
+    """Build the tables a brute force over ctx reads; returns the digit matrix for odd p.
+
+    Raises FieldTooLarge past brute_bound or a table cap, before building
+    anything: odd p needs the digit matrix, whose cap is checked first.
+    """
+    if ctx.order > brute_bound:
+        raise FieldTooLarge(f"|F| = {ctx.order} exceeds brute bound {brute_bound}")
+    dig = ctx.digit_matrix() if ctx.p != 2 else None
+    ctx.ensure_tables(brute_bound)
+    return dig
+
+
+def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
+    """Values of sum(c_j x^j) at the units of ctx, a block of coset rows at a time.
 
     Let m = |F| - 1, Q = q - 1 on a tower GF(q^n) with n > 1 and Q = 1 on a
     field (a tower of degree 1 is one; Q = q - 1 would leave rows of length
     1), and M = m/Q.  Every unit is gamma^(Q·s + r) for one r < Q and s < M,
-    and the units follow zero row-major in (r, s): out[1 + M·r + s] is the
-    value at gamma^(Q·s + r).  The context caches rows[r, s] = exp[Q·s + r],
-    the int32 exp table as Q rows of length M.  For a term c x^j let
+    and the exp table holds it at rows[r, s] (`Context.ensure_tables`).
+    Yields the blocks in row order: a block vals that starts at row lo holds
+    the value at gamma^(Q·s + lo + i) in vals[i, s], for up to _BLOCK
+    elements (at least one row); it is one buffer, overwritten by the next.  For a term c x^j let
     (s0, r0) = divmod((j·r + log c) mod m, Q); since j·Q·s = Q·(j·s mod M)
     (mod m), row r of the term is rows[r0][(j·s + s0) mod M].  When
     j = 1 (mod M), as for both terms of b^(-1) x^d + x with d = M + 1, that
     is rows[r0] rotated by s0: two slices, cut at M - s0.  Other j gather
     inside the row.
 
-    In characteristic 2 each output row is written once: the first two
+    In characteristic 2 each row of a block is written once: the first two
     rotations are xored straight into it by one ufunc per segment between
     their cuts (a lone one is copied), later terms are xored in, and c0
-    only when it is nonzero.  For odd p the base-p digits of the terms are
-    summed in a (Q, M, k) buffer whose unsigned dtype is the least that
-    holds the sum, reduced mod p, and folded into the values by Horner, one
-    digit column at a time.  The values stay int64 although they fit int32:
-    `_is_injective_values` indexes by them, and numpy casts any other index
-    dtype to intp first (its scatter on GF((2^5)^4) takes about 3.5 ms with
-    int64 values and 5.0 ms with int32, on a 2-vCPU Xeon).  So a warm call
-    holds 8 bytes per element, and for odd p the digit buffer besides (k
-    bytes per element while the digit sums fit one byte).
+    once per block when it is nonzero.  For odd p the base-p digits of c0
+    and the terms are summed per block in an (R, M, k) buffer whose unsigned
+    dtype is the least that holds the sum, reduced mod p, and folded into
+    the values by Horner, one digit column at a time.  Besides the tables
+    (and the digit matrix for odd p), a call holds these buffers alone.
     """
-    if ctx.order > brute_bound:
-        raise FieldTooLarge(f"|F| = {ctx.order} exceeds brute bound {brute_bound}")
     import numpy as np
-    # odd p needs the digit matrix, whose cap is checked before any table is built
-    dig = ctx.digit_matrix() if ctx.p != 2 else None
-    ctx.ensure_tables(brute_bound)
-    m = ctx.order - 1
-    Q = ctx.q - 1 if isinstance(ctx, Tower) and ctx.n > 1 else 1
-    M = m // Q
-    rows = ctx._rows
-    if rows is None:
-        rows = ctx._rows = np.ascontiguousarray(ctx._exp.reshape(M, Q).T)
-    log = ctx._log
+    dig = brute_force_tables(ctx, brute_bound)
+    m, Q, M = ctx.order - 1, ctx._Q, ctx._M
+    rows, log = ctx._exp.reshape(Q, M), ctx._log
+    R = min(Q, max(1, _BLOCK // M))
     c0 = terms.get(0, 0)
 
     # per term: s0 and r0 per row, and the in-row index j·s mod M unless a rotation
@@ -161,66 +165,76 @@ def _eval_all_sparse(ctx: Context, terms: dict, brute_bound: int) -> np.ndarray:
                 gathers.append((np.arange(M, dtype=np.int64) * (j % M) % M,
                                 s0.tolist(), r0.tolist()))
 
-    out = np.empty(ctx.order, dtype=np.int64)
-    out[0] = c0
-    if dig is None:
-        for r in range(Q):
-            row = out[1 + M * r:1 + M * (r + 1)]
-            rot = [(rows[r0s[r]], s0s[r]) for s0s, r0s in rotations]
-            if len(rot) > 1:
-                # both rotated rows are contiguous between the cuts M - a and M - b
-                (A, a), (B, b) = rot[:2]
-                lo = 0
-                for hi in sorted((M - a, M - b, M)):
-                    if hi > lo:
-                        ia, ib = (lo + a) % M, (lo + b) % M
-                        np.bitwise_xor(A[ia:ia + hi - lo], B[ib:ib + hi - lo], out=row[lo:hi])
-                        lo = hi
-            elif rot:
-                (A, a), = rot
-                row[:M - a] = A[a:]
-                row[M - a:] = A[:a]
-            else:
-                row[:] = 0
-            for src, s0 in rot[2:]:
-                row[:M - s0] ^= src[s0:]
-                row[M - s0:] ^= src[:s0]
-            for idx, s0s, r0s in gathers:
-                row ^= rows[r0s[r]].take(idx + s0s[r], mode="wrap")
-            if c0:
-                row ^= c0
-    else:
+    # numpy casts an index array of any other dtype to intp before it scatters
+    buf = np.empty((R, M), dtype=np.intp)
+    if dig is not None:
         p, k = ctx.p, ctx.deg_over_prime
         # each digit sums c0's and one per term, each below p
-        acc = np.empty((Q, M, k), dtype=np.min_scalar_type((len(terms) + 1) * (p - 1)))
-        acc[:] = dig[c0]
-        for r in range(Q):
-            row = acc[r]
-            for s0s, r0s in rotations:
-                src, s0 = rows[r0s[r]], s0s[r]
-                row[:M - s0] += dig.take(src[s0:], axis=0)
-                row[M - s0:] += dig.take(src[:s0], axis=0)
-            for idx, s0s, r0s in gathers:
-                row += dig.take(rows[r0s[r]].take(idx + s0s[r], mode="wrap"), axis=0)
-        acc %= p
-        digits, vals = acc.reshape(m, k), out[1:]
-        vals[:] = digits[:, k - 1]
-        for i in range(k - 2, -1, -1):
-            vals *= p
-            vals += digits[:, i]
-    return out
+        acc = np.empty((R, M, k), dtype=np.min_scalar_type((len(terms) + 1) * (p - 1)))
+    for lo in range(0, Q, R):
+        nr = min(R, Q - lo)
+        vals = buf[:nr]
+        if dig is None:
+            for i in range(nr):
+                r, row = lo + i, vals[i]
+                rot = [(rows[r0s[r]], s0s[r]) for s0s, r0s in rotations]
+                if len(rot) > 1:
+                    # both rotated rows are contiguous between the cuts M - a and M - b
+                    (A, a), (B, b) = rot[:2]
+                    start = 0
+                    for hi in sorted((M - a, M - b, M)):
+                        if hi > start:
+                            ia, ib = (start + a) % M, (start + b) % M
+                            np.bitwise_xor(A[ia:ia + hi - start], B[ib:ib + hi - start],
+                                           out=row[start:hi])
+                            start = hi
+                elif rot:
+                    (A, a), = rot
+                    row[:M - a] = A[a:]
+                    row[M - a:] = A[:a]
+                else:
+                    row[:] = 0
+                for src, s0 in rot[2:]:
+                    row[:M - s0] ^= src[s0:]
+                    row[M - s0:] ^= src[:s0]
+                for idx, s0s, r0s in gathers:
+                    row ^= rows[r0s[r]].take(idx + s0s[r], mode="wrap")
+            if c0:
+                vals ^= c0
+        else:
+            digs = acc[:nr]
+            digs[:] = dig[c0]
+            for i in range(nr):
+                r, row = lo + i, digs[i]
+                for s0s, r0s in rotations:
+                    src, s0 = rows[r0s[r]], s0s[r]
+                    row[:M - s0] += dig.take(src[s0:], axis=0)
+                    row[M - s0:] += dig.take(src[:s0], axis=0)
+                for idx, s0s, r0s in gathers:
+                    row += dig.take(rows[r0s[r]].take(idx + s0s[r], mode="wrap"), axis=0)
+            digs %= p
+            digits, flat = digs.reshape(nr * M, k), vals.reshape(nr * M)
+            flat[:] = digits[:, k - 1]
+            for i in range(k - 2, -1, -1):
+                flat *= p
+                flat += digits[:, i]
+        yield vals
 
 
-def _is_injective_values(vals: np.ndarray, order: int) -> bool:
-    """Whether order values, each in [0, order), are pairwise distinct.
+def _eval_all_sparse(ctx: Context, terms: dict, brute_bound: int) -> np.ndarray:
+    """The cover of sum(c_j x^j) over ctx: cover[y] says whether some x maps to y.
 
-    With as many values as the range holds, that is the case exactly when
-    every encoding of the range is hit.
+    The map is a permutation exactly when the cover is all True, as it has
+    as many slots as inputs.  The value at 0 is c0; the units are evaluated
+    by `_eval_blocks` and each block is scattered into the cover before the
+    next is made, so a call holds one bool per element and one block.
     """
     import numpy as np
-    seen = np.zeros(order, dtype=bool)
-    seen[vals] = True
-    return bool(seen.all())
+    cover = np.zeros(ctx.order, dtype=bool)
+    for vals in _eval_blocks(ctx, terms, brute_bound):
+        cover[vals] = True
+    cover[terms.get(0, 0)] = True
+    return cover
 
 
 def is_permutation(f: Poly, ctx: Optional[Context] = None,
@@ -229,8 +243,7 @@ def is_permutation(f: Poly, ctx: Optional[Context] = None,
     ctx = ctx or f.ctx
     lifted = f.lift(ctx)
     terms = {j: c for j, c in enumerate(lifted.coeffs) if c}
-    vals = _eval_all_sparse(ctx, terms, brute_bound)
-    return _is_injective_values(vals, ctx.order)
+    return bool(_eval_all_sparse(ctx, terms, brute_bound).all())
 
 
 def is_cpp_poly(f: Poly, ctx: Optional[Context] = None) -> bool:
@@ -262,8 +275,7 @@ def is_cpp_monomial(b, tower: Tower) -> bool:
     if math.gcd(d, tower.order - 1) != 1:
         return False
     binv = tower.inv(bval)
-    vals = _eval_all_sparse(tower, {d: binv, 1: 1}, DEFAULT_BRUTE_BOUND)
-    return _is_injective_values(vals, tower.order)
+    return bool(_eval_all_sparse(tower, {d: binv, 1: 1}, DEFAULT_BRUTE_BOUND).all())
 
 
 # ---------------------------------------------------------------------------

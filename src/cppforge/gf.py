@@ -28,9 +28,9 @@ Contexts are interned, so two independent constructions of the same field
 are the same object.  Any context whose order fits the brute-force bound can
 lazily build numpy exp/log tables for vectorised full-field evaluation, the
 only use of numpy.  The tables are int32: no order reaches HARD_BRUTE_CAP =
-2^26 < 2^31, so every index and encoding fits, and 4 bytes per entry
-instead of 8 halve what a brute force holds per field element (the coset
-rows of `cpp_core._eval_all_sparse` are a copy of exp, so they follow).
+2^26 < 2^31, so every index and encoding fits in 4 bytes.  exp is stored in
+the coset-row order that `cpp_core._eval_all_sparse` reads, the only copy of
+it: gamma^e sits at `Context._exp_index(e)`, which is e itself on a field.
 Fields of order up to _ROW_BOUND build exp/log lists at once and derive
 dense multiplication, addition, negation and inverse rows.
 """
@@ -50,6 +50,7 @@ HARD_BRUTE_CAP = 1 << 26
 if HARD_BRUTE_CAP >= 1 << 31:
     raise ImportError("HARD_BRUTE_CAP must stay below 2^31: the exp/log tables are int32")
 _ROW_BOUND = 512         # dense op rows for fields up to this order
+_BLOCK = 1 << 16         # elements per numpy step of a table build or a brute force
 _DIGIT_CACHE_BOUND = 1 << 21  # per-encoding digit matrix cache bound
 
 
@@ -192,13 +193,16 @@ class Context:
     _q: int
     _red: tuple
 
+    # exp has _Q rows of length _M = (order - 1)/_Q; _Q = q - 1 on a tower of
+    # degree > 1 (set by Tower), else 1
+    _Q: int = 1
+    _M: int = 0
     # populated lazily
-    _exp: Optional[np.ndarray] = None
+    _exp: Optional[np.ndarray] = None      # gamma^(_Q·s + r) at _M·r + s
     _log: Optional[np.ndarray] = None
     _log_list: Optional[list] = None       # log as a list: Fq.build_rows, goodness_class
     _exp_list: Optional[list] = None       # exp as a list: Fq.build_rows only
     _digmat: Optional[np.ndarray] = None
-    _rows: Optional[np.ndarray] = None     # exp by cosets, cpp_core._eval_all_sparse
     _primitive: Optional[int] = None
     # dense op rows, built by Fq.build_rows for small fields only
     _mul_rows: Optional[list] = None
@@ -318,7 +322,7 @@ class Context:
             return self._inv_row[a]
         if self._log is not None:
             m = self.order - 1
-            return int(self._exp[-int(self._log[a]) % m])
+            return int(self._exp[self._exp_index(-int(self._log[a]) % m)])
         return self.pow_(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -333,7 +337,7 @@ class Context:
         if self._exp_list is not None:
             return self._exp_list[self._log_list[a] * (e % m) % m]
         if self._log is not None:
-            return int(self._exp[(int(self._log[a]) * (e % m)) % m])
+            return int(self._exp[self._exp_index(int(self._log[a]) * (e % m) % m)])
         e %= m
         acc, base = 1, a
         while e:
@@ -366,14 +370,21 @@ class Context:
                 return a
         raise FieldError("no primitive element found")  # pragma: no cover
 
+    def _exp_index(self, e: int) -> int:
+        """Index of gamma^e in exp, for 0 <= e < order - 1 (e itself when _Q = 1)."""
+        return e % self._Q * self._M + e // self._Q
+
     def ensure_tables(self, brute_bound: int = DEFAULT_BRUTE_BOUND) -> None:
         """Build exp/log numpy tables (index <-> encoding of gamma^i) as int32.
 
         The order is at most HARD_BRUTE_CAP = 2^26 < 2^31 (the module
         refuses to load with a larger cap), so every index and encoding fits
-        in int32; both tables are built in it directly, 8 bytes per element
-        instead of 16.  Scalar lookups convert to Python ints before any
-        arithmetic on indices.
+        in int32; both tables are built in it directly, 8 bytes per element.
+        Scalar lookups convert to Python ints before any arithmetic on
+        indices.  exp is built in coset-row order, rows[r, s] =
+        gamma^(_Q·s + r), flattened: row 0 holds the powers of gamma^_Q and
+        row r is gamma^r times it.  No numpy step touches more than _BLOCK
+        elements besides the tables, so a build holds little over them.
         """
         import numpy as np
         if self._exp is not None:
@@ -383,66 +394,87 @@ class Context:
             raise FieldTooLarge(f"order {n} exceeds brute-force bound {brute_bound}")
         g = self.primitive_element()
         m = n - 1
-        exp = self._exp_by_doubling(g, m) if self.p == 2 else self._exp_by_matrix(g, m)
+        Q, M = self._Q, m // self._Q
+        rows = np.empty((Q, M), dtype=np.int32)
+        if self.p == 2:
+            rows[0, 0] = 1
+            self._exp_by_doubling(rows[0], self.pow_(g, Q))
+            self._exp_by_doubling(rows, g)
+        else:
+            self._exp_by_matrix(rows, g)
+        # log[rows[r, s]] = Q·s + r, at most _BLOCK entries at a time
         log = np.full(n, -1, dtype=np.int32)
-        log[exp] = np.arange(m, dtype=np.int32)
-        self._exp = exp
+        width, step = min(M, _BLOCK), max(1, _BLOCK // M)
+        cols = np.arange(0, Q * width, Q, dtype=np.int32)
+        for r in range(0, Q, step):
+            for s in range(0, M, width):
+                seg = rows[r:r + step, s:s + width]
+                first = np.arange(Q * s + r, Q * s + r + len(seg), dtype=np.int32)
+                log[seg] = cols[:seg.shape[1]] + first[:, None]
+        self._M = M
+        self._exp = rows.reshape(m)
         self._log = log
 
-    def _exp_by_matrix(self, g: int, m: int) -> np.ndarray:
-        """gamma^0 .. gamma^(m-1) through powers of the digit matrix of gamma."""
+    def _exp_by_matrix(self, rows: np.ndarray, g: int) -> None:
+        """rows[r, s] = gamma^(Q·s + r) for the Q rows, through digit matrices.
+
+        Multiplication by gamma is GF(p)-linear on the flat digit vector.
+        The digit vectors of row 0 are made a chunk of columns at a time by
+        the matrix of gamma^Q, and carried down the rows by that of gamma.
+        """
         import numpy as np
         p, k = self.p, self.deg_over_prime
-        # multiplication by gamma is GF(p)-linear on the flat digit vector
+        (Q, M), chunk = rows.shape, min(rows.shape[1], 4096)
         mat = np.zeros((k, k), dtype=np.int64)
         for j in range(k):
             v = self.mul(g, p ** j)
             for i in range(k):
                 v, mat[i, j] = divmod(v, p)
+        mat_q = _mat_pow_mod(mat, Q, p)
         powers = (p ** np.arange(k)).astype(np.int64)
-        chunk = min(m, 4096)
-        cols = np.zeros((k, chunk), dtype=np.int64)
+        block = np.zeros((k, chunk), dtype=np.int64)
         cur = np.zeros(k, dtype=np.int64)
         cur[0] = 1
         for i in range(chunk):
-            cols[:, i] = cur
-            cur = mat.dot(cur) % p
-        step = _mat_pow_mod(mat, chunk, p)
-        exp = np.empty(m, dtype=np.int32)
-        done = 0
-        block = cols
-        while done < m:
-            take = min(chunk, m - done)
-            exp[done:done + take] = powers.dot(block[:, :take])
-            done += take
-            if done < m:
+            block[:, i] = cur
+            cur = mat_q.dot(cur) % p
+        step = _mat_pow_mod(mat_q, chunk, p)
+        for lo in range(0, M, chunk):
+            cur = block[:, :M - lo]
+            for r in range(Q):
+                rows[r, lo:lo + chunk] = powers.dot(cur)
+                if r + 1 < Q:
+                    cur = mat.dot(cur) % p
+            if lo + chunk < M:
                 block = step.dot(block) % p
-        return exp
 
-    def _exp_by_doubling(self, g: int, m: int) -> np.ndarray:
-        """gamma^0 .. gamma^(m-1) in characteristic 2, doubling the filled prefix.
+    def _exp_by_doubling(self, arr: np.ndarray, c: int) -> None:
+        """arr[i] = c^i·arr[0] along the first axis in characteristic 2, arr[0] given.
 
-        Multiplication by gamma^L is GF(2)-linear on the bit encoding, so
-        exp[L:2L] = gamma^L exp[0:L] is an xor of one 256-entry lookup table
-        per byte of the encoding, each built from the images of its 8 bits.
+        Multiplication by c^L is GF(2)-linear on the bit encoding, so
+        arr[f:f + L] = c^L·arr[f - L:f] is an xor of one 256-entry lookup
+        table per byte of the encoding, each built from the images of its 8
+        bits.  L doubles with the filled prefix f up to _BLOCK elements.
         """
         import numpy as np
-        k = self.deg_over_prime
-        exp = np.empty(m, dtype=np.int32)
-        exp[0] = 1
-        filled, g_l = 1, g      # g_l = gamma^filled
-        while filled < m:
-            take = min(filled, m - filled)
-            src, dst = exp[:take], exp[filled:filled + take]
-            dst[:] = 0
-            for lo in range(0, k, 8):
-                table = np.zeros(256, dtype=np.int32)
-                for t in range(min(8, k - lo)):
-                    table[1 << t:2 << t] = table[:1 << t] ^ self.mul(g_l, 1 << (lo + t))
-                dst ^= table[(src >> lo) & 255]
+        k, n = self.deg_over_prime, len(arr)
+        cap = max(1, _BLOCK // arr[0].size)
+        tables: dict = {}
+        filled = 1
+        while filled < n:
+            take = min(filled, cap, n - filled)
+            if take not in tables:
+                c_l, tables[take] = self.pow_(c, take), []
+                for lo in range(0, k, 8):
+                    table = np.zeros(256, dtype=np.int32)
+                    for t in range(min(8, k - lo)):
+                        table[1 << t:2 << t] = table[:1 << t] ^ self.mul(c_l, 1 << (lo + t))
+                    tables[take].append(table)
+            src, dst = arr[filled - take:filled], arr[filled:filled + take]
+            dst[...] = 0
+            for i, table in enumerate(tables[take]):
+                dst ^= table[(src >> 8 * i) & 255]
             filled += take
-            g_l = self.mul(g_l, g_l)
-        return exp
 
     def digit_matrix(self) -> np.ndarray:
         """(order, deg_over_prime) matrix of base-p digits per encoding.
@@ -525,7 +557,7 @@ class Fq(Context):
             if a == 0 or b == 0:
                 return 0
             m = self.order - 1
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % m])
+            return int(self._exp[self._exp_index((int(self._log[a]) + int(self._log[b])) % m)])
         return self._mul_slow(a, b)
 
     def build_rows(self) -> None:
@@ -573,6 +605,8 @@ class Tower(Context):
         self.deg_over_prime = base.m * n
         self.order = base.order ** n
         self._set_basis(base, n, ext_modulus)
+        if n > 1:
+            self._Q = self.q - 1
 
     def __repr__(self):
         return f"GF(({self.base.p}^{self.base.m})^{self.n})"
@@ -588,7 +622,7 @@ class Tower(Context):
             if a == 0 or b == 0:
                 return 0
             m = self.order - 1
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % m])
+            return int(self._exp[self._exp_index((int(self._log[a]) + int(self._log[b])) % m)])
         return self._mul_slow(a, b)
 
     def orbit(self, a: int) -> set:

@@ -79,6 +79,33 @@ def test_char2_scan_reaches_the_traced_artin_schreier_and_brute_force(monkeypatc
     assert metrics["cpp_core.is_cpp_monomial.elements"][0] > 0
 
 
+def test_brute_force_elements_are_the_orders_of_its_fields(monkeypatch, tmp_path):
+    # the tracer counts len() of what each cpp_core._eval_all_sparse call
+    # returns as its elements: that must be the order of the field it covers
+    monkeypatch.syspath_prepend(str(BENCH))
+    real, orders = cpp_core._eval_all_sparse, []
+
+    def spy(ctx, terms, bound):
+        orders.append(ctx.order)
+        return real(ctx, terms, bound)
+
+    monkeypatch.setattr(cpp_core, "_eval_all_sparse", spy)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        uninstall = tracing.install(tracer)
+        try:
+            assert cli.main(["scan", "--family", "A2", "--p", "2", "--m", "3", "--n", "4",
+                             "--out", str(tmp_path / "scan.json")]) == 0
+        finally:
+            uninstall()
+        metrics, _ = tracing.layer_metrics(dict(tracer.result(1.0), untraced_wall_s=1.0))
+    finally:
+        sys.modules.pop("tracing", None)
+    assert 8 ** 4 in orders
+    assert metrics["cpp_core.is_cpp_monomial.elements"][0] == sum(orders)
+
+
 def test_char2_scan_tables_hold_4_bytes_per_entry(monkeypatch, tmp_path):
     # gf.ensure_tables.bytes counts exp and log of every interned context;
     # empty caches leave the scan's tower GF(8^4), for its brute force, and

@@ -83,7 +83,7 @@ class TestSerialParallelAgreement:
 def _untabled_a2_tower(monkeypatch):
     """The interned tower of A2_CASE, its exp/log tables cleared for the test."""
     tower = mk_tower(mk_field(2, 3), 4)
-    for key in ("_exp", "_log", "_rows"):
+    for key in ("_exp", "_log"):
         monkeypatch.setattr(tower, key, None)
     return tower
 
@@ -104,6 +104,30 @@ class TestItemsBuiltWhereChecked:
         report = run_scan(ScanConfig("scan", workers=1, **A2_CASE))
         assert report.counts["constructed"] == len(untabled) == 56
         assert not any(untabled[1:])
+
+    def test_roots_are_located_with_tables(self, monkeypatch):
+        # the first item with witnesses builds the tables before one_root,
+        # so no root is located by table-free tower multiplication
+        _untabled_a2_tower(monkeypatch)
+        one_root, mul_slow = cpp_core.one_root, gf.Context._mul_slow
+        inside, slow = [], []
+
+        def locating(*args):
+            inside.append(True)
+            try:
+                return one_root(*args)
+            finally:
+                inside.pop()
+
+        def counting(ctx, a, b):
+            slow.extend(inside[-1:])
+            return mul_slow(ctx, a, b)
+
+        monkeypatch.setattr(cpp_core, "one_root", locating)
+        monkeypatch.setattr(gf.Context, "_mul_slow", counting)
+        report = run_scan(ScanConfig("scan", workers=1, **A2_CASE))
+        assert len(report.witnesses) == 210
+        assert slow == []
 
     def test_parent_builds_no_item_and_no_table(self, monkeypatch, tmp_path):
         tower = _untabled_a2_tower(monkeypatch)

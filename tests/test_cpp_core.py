@@ -21,7 +21,7 @@ from cppforge.cpp_core import (
     OrbitSizeMismatch,
     ZeroCoefficient,
     _eval_all_sparse,
-    _is_injective_values,
+    _eval_blocks,
     cpp_exponent,
     cpp_normalize,
     criterion_verdict,
@@ -172,10 +172,17 @@ class TestCppMonomial:
                 assert is_cpp_monomial(b, t) == want
 
     def test_injectivity_sees_one_repeat(self):
-        vals = np.arange(64)[::-1].copy()
-        assert _is_injective_values(vals, 64)
-        vals[40] = vals[3]
-        assert not _is_injective_values(vals, 64)
+        # f = x + (v - a)(1 - (x - a)^63) is x off a and v at a: one value
+        # repeated, one missed, so the cover lacks exactly a
+        F64 = mk_field(2, 6)
+        a, v = 40, 3
+        f = Poly.x(F64) + Poly.constant(F64, a ^ v) * (
+            Poly.constant(F64, 1) - (Poly.x(F64) - Poly.constant(F64, a)) ** 63)
+        for g, missed in ((Poly.x(F64), []), (f, [a])):
+            terms = {j: c for j, c in enumerate(g.coeffs) if c}
+            cover = _eval_all_sparse(F64, terms, gf.DEFAULT_BRUTE_BOUND)
+            assert np.flatnonzero(~cover).tolist() == missed
+            assert is_permutation(g) == (not missed)
 
 
 class TestCppVerdict:
@@ -233,7 +240,7 @@ class TestCppVerdict:
         f16 = mk_field(2, 4)
         t = mk_tower(f16, 1)
         for ctx in (t, f16):
-            for name in ("_exp", "_log", "_rows"):
+            for name in ("_exp", "_log"):
                 monkeypatch.setattr(ctx, name, None)
         monkeypatch.setattr(gf, "HARD_BRUTE_CAP", f16.order - 1)
         assert criterion_verdict(2, t) == ("CriterionOnly", None)
@@ -242,14 +249,14 @@ class TestCppVerdict:
 
 
 class TestRowLayout:
-    """_eval_all_sparse lays the units out by cosets of the index-Q subgroup."""
+    """_eval_blocks lays the units out by cosets of the index-Q subgroup."""
 
     # towers of degree > 1 have Q = q - 1; fields and degree-1 towers have Q = 1
     CONTEXTS = [((2, 2), 3), ((2, 3), 2), ((2, 5), 2), ((5, 1), 2), ((3, 2), 2),
                 ((3, 1), 4), ((2, 7), None), ((7, 2), None), ((2, 4), 1)]
 
     @pytest.mark.parametrize("base, n", CONTEXTS)
-    def test_pointwise_against_slow_arithmetic(self, base, n):
+    def test_pointwise_against_slow_arithmetic(self, monkeypatch, base, n):
         ctx = mk_field(*base) if n is None else mk_tower(mk_field(*base), n)
         m = ctx.order - 1
         Q = ctx.q - 1 if n is not None and n > 1 else 1
@@ -273,9 +280,19 @@ class TestRowLayout:
                         acc = ctx.add(acc, ctx._mul_slow(c, pw[i * j % m]))
                 return acc
 
-            want = [terms[0]] + [value(Q * s + r) for r in range(Q) for s in range(M)]
-            got = _eval_all_sparse(ctx, terms, gf.DEFAULT_BRUTE_BOUND)
-            assert got.tolist() == want
+            # one block of all rows, and blocks of two rows, the last one short
+            # where Q is odd
+            for block in (cpp_core._BLOCK, 2 * M + 1):
+                monkeypatch.setattr(cpp_core, "_BLOCK", block)
+                rows = 0
+                for vals in _eval_blocks(ctx, terms, gf.DEFAULT_BRUTE_BOUND):
+                    assert vals.shape[1] == M
+                    lo, rows = rows, rows + len(vals)
+                    want = [value(Q * s + r) for r in range(lo, rows) for s in range(M)]
+                    assert vals.ravel().tolist() == want
+                assert rows == Q
+                cover = _eval_all_sparse(ctx, terms, gf.DEFAULT_BRUTE_BOUND)
+                assert set(np.flatnonzero(cover)) == {value(i) for i in range(m)} | {terms[0]}
 
     # number of units b for which b^(-1) x^d is a complete permutation monomial
     @pytest.mark.parametrize("base, n, count", [
@@ -290,7 +307,7 @@ class TestRowLayout:
         # a pickled context is the interned one, rebuilt from (p, m)
         ctx = mk_field(2, 6)
         assert is_permutation(Poly.x(ctx) ** 5, ctx)
-        assert ctx._rows is not None
+        assert ctx._exp is not None
         data = pickle.dumps(ctx)
         assert len(data) < 100
         assert pickle.loads(data) is ctx
@@ -315,40 +332,46 @@ def _peak_bytes(fn) -> int:
 
 
 class TestKernelMemory:
-    """int32 exp/log/coset-row tables; the kernel allocates one int64 value per element."""
+    """int32 exp/log tables; the kernel holds a bool cover and one block of values."""
 
     @pytest.mark.parametrize("ctx", [mk_tower(F8, 4), mk_tower(F3, 6), mk_field(3, 7)],
                              ids=["char2-tower", "odd-tower", "field"])
     def test_tables_and_rows_are_int32(self, ctx):
+        # exp is the coset rows, flattened; there is no other copy of it
         assert is_permutation(Poly.x(getattr(ctx, "base", ctx)), ctx)
-        assert ctx._exp.dtype == ctx._log.dtype == ctx._rows.dtype == np.int32
+        assert ctx._exp.dtype == ctx._log.dtype == np.int32
+        assert ctx._exp.shape == (ctx.order - 1,)
 
     def test_char2_brute_force_peaks(self, monkeypatch):
-        # with exp/log built, the first brute force adds the int32 coset
-        # rows (4 bytes per element) to the int64 values (8) and the bool
-        # cover (1); a warm one only the values and the cover
+        # the first brute force after the tables are built and a later one
+        # each add the bool cover (1 byte per element) and one block
         t = mk_tower(mk_field(2, 5), 4)
         assert math.gcd(cpp_exponent(t), t.order - 1) == 1
+        for name in ("_exp", "_log"):
+            monkeypatch.setattr(t, name, None)
         t.ensure_tables()
-        monkeypatch.setattr(t, "_rows", None)
         cold = _peak_bytes(lambda: is_cpp_monomial(7, t))
         warm = _peak_bytes(lambda: is_cpp_monomial(7, t))
-        assert cold <= 13.5 * t.order
-        assert warm <= 9.5 * t.order
+        assert cold <= 1.5 * t.order
+        assert warm <= 1.5 * t.order
 
-    def test_tables_hold_12_bytes_per_element(self):
+    def test_tables_hold_8_bytes_per_element(self):
         t = mk_tower(mk_field(2, 5), 4)
         is_cpp_monomial(7, t)
-        assert t._exp.nbytes + t._log.nbytes + t._rows.nbytes <= 12 * t.order
+        assert t._exp.nbytes + t._log.nbytes <= 8 * t.order
 
     @pytest.mark.parametrize("base, n", [((3, 1), 12), ((3, 2), 6)])
     def test_odd_p_warm_brute_force_peaks_below_40_bytes_per_element(self, base, n):
-        # the digit sums are folded into the values by Horner, one column at
-        # a time, with no m×k int64 copy of them
+        # the digit sums of one block are folded into its values by Horner,
+        # one column at a time.  A block is at least one whole row: GF(3^12)
+        # over GF(3) has two of 265,720 elements (about 21 bytes per element
+        # at the peak), GF((3^2)^6) eight of 66,430 (about 6); the bounds are
+        # the peaks of evaluating all values of the field at once
         t = mk_tower(mk_field(*base), n)
         assert math.gcd(cpp_exponent(t), t.order - 1) == 1
         is_cpp_monomial(5, t)
-        assert _peak_bytes(lambda: is_cpp_monomial(5, t)) < 40 * t.order
+        bound = {12: 30, 6: 22.5}[n]
+        assert _peak_bytes(lambda: is_cpp_monomial(5, t)) < bound * t.order
 
 
 class TestGoodness:

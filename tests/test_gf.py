@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from cppforge import gf
@@ -296,15 +297,35 @@ class TestArith:
                 assert ctx.mul(a, b) == ctx._mul_slow(a, b)
 
     def test_char2_tables_follow_gamma(self):
-        # the doubled xor tables against one table-free step per entry
+        # the doubled xor tables against one table-free step per entry,
+        # gamma^e read at its index in the coset rows
         for ctx in char2_contexts():
             ctx.ensure_tables()
-            exp, log, g = ctx._exp, ctx._log, ctx.primitive_element()
+            exp, log, g, at = ctx._exp, ctx._log, ctx.primitive_element(), ctx._exp_index
             m = ctx.order - 1
-            assert len(exp) == m and exp[0] == 1
+            assert len(exp) == m and exp[at(0)] == 1
             for i in range(m):
-                assert ctx._mul_slow(int(exp[i]), g) == (exp[i + 1] if i + 1 < m else 1)
-                assert log[exp[i]] == i
+                assert ctx._mul_slow(int(exp[at(i)]), g) == (exp[at(i + 1)] if i + 1 < m else 1)
+                assert log[exp[at(i)]] == i
+
+    @pytest.mark.parametrize("p, m, n", [(2, 20, None), (2, 5, 4), (2, 10, 2),
+                                         (3, 9, None), (3, 2, 6), (5, 1, 7)])
+    def test_large_tables_follow_gamma(self, p, m, n):
+        # past the blocks of the doubling (2^16 elements) and the 4096-column
+        # chunks of the digit matrices, sampled, with exponents next to their
+        # seams; exp holds every unit once and log inverts it
+        ctx = mk_field(p, m) if n is None else mk_tower(mk_field(p, m), n)
+        ctx.ensure_tables()
+        exp, log, g, at = ctx._exp, ctx._log, ctx.primitive_element(), ctx._exp_index
+        q, M = ctx._Q, ctx._M
+        top = ctx.order - 1
+        assert (np.sort(exp) == np.arange(1, ctx.order)).all()
+        assert (log[exp] == np.arange(top).reshape(M, q).T.ravel()).all()
+        rng = random.Random(top)
+        seams = [q * s + r for s in (4095, 4096, M - 1, 1 << 16) for r in (0, q - 1)]
+        for e in [0, top - 1] + seams + [rng.randrange(top) for _ in range(300)]:
+            e %= top
+            assert ctx._mul_slow(int(exp[at(e)]), g) == exp[at((e + 1) % top)]
 
 
 def _slow_pow(ctx, a, e):
@@ -328,7 +349,7 @@ class TestInt32Tables:
         ctx.ensure_tables()
         assert str(ctx._exp.dtype) == str(ctx._log.dtype) == "int32"
         top = ctx.order - 1
-        a, b = int(ctx._exp[top - 1]), int(ctx._exp[top - 2])
+        a, b = int(ctx._exp[ctx._exp_index(top - 1)]), int(ctx._exp[ctx._exp_index(top - 2)])
         assert ctx._log[a] == top - 1 and ctx._log[b] == top - 2
         for x, y in ((a, a), (a, b), (b, b)):
             assert ctx.mul(x, y) == ctx._mul_slow(x, y)
