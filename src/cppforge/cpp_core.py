@@ -121,6 +121,20 @@ def brute_force_tables(ctx: Context, brute_bound: int) -> Optional[np.ndarray]:
     return dig
 
 
+def _cuts(shifts: list, w: int, M: int):
+    """The pieces [lo, hi) of [0, w) inside which no (x + t) mod M wraps, x in shifts.
+
+    Yields (lo, hi, starts), starts[i] = (shifts[i] + lo) mod M: on the
+    piece, position t reads src[starts[i] + t - lo] of a row of length M.
+    Each shift cuts [0, w) at most once, since w <= M.
+    """
+    lo = 0
+    for hi in sorted({min(M - x, w) for x in shifts} | {w}):
+        if hi > lo:
+            yield lo, hi, [(x + lo) % M for x in shifts]
+            lo = hi
+
+
 def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
     """Values of sum(c_j x^j) at the units of ctx, a block of coset rows at a time.
 
@@ -128,20 +142,24 @@ def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
     field (a tower of degree 1 is one; Q = q - 1 would leave rows of length
     1), and M = m/Q.  Every unit is gamma^(Q·s + r) for one r < Q and s < M,
     and the exp table holds it at rows[r, s] (`Context.ensure_tables`).
-    Yields the blocks in row order: a block vals that starts at row lo holds
-    the value at gamma^(Q·s + lo + i) in vals[i, s], for up to _BLOCK
-    elements (at least one row); it is one buffer, overwritten by the next.  For a term c x^j let
-    (s0, r0) = divmod((j·r + log c) mod m, Q); since j·Q·s = Q·(j·s mod M)
-    (mod m), row r of the term is rows[r0][(j·s + s0) mod M].  When
-    j = 1 (mod M), as for both terms of b^(-1) x^d + x with d = M + 1, that
-    is rows[r0] rotated by s0: two slices, cut at M - s0.  Other j gather
-    inside the row.
+    The columns are cut into segments of W = min(M, _BLOCK), and a block is
+    R = max(1, _BLOCK // M) rows (at most Q) of one segment, so it has at
+    most _BLOCK elements however long the rows are.  Yields the blocks
+    segment by segment, each segment's in row order: a block vals that
+    starts at row lo and column c holds the value at gamma^(Q·(c + s) + lo + i)
+    in vals[i, s]; it is one buffer, overwritten by the next.  For a term
+    c x^j let (s0, r0) = divmod((j·r + log c) mod m, Q); since
+    j·Q·s = Q·(j·s mod M) (mod m), row r of the term is
+    rows[r0][(j·s + s0) mod M].  When j = 1 (mod M), as for both terms of
+    b^(-1) x^d + x with d = M + 1, that is rows[r0] rotated by s0: in the
+    segment at c, at most two slices, cut where c + s0 + s reaches M
+    (`_cuts`).  Other j gather inside the row.
 
     In characteristic 2 each row of a block is written once: the first two
-    rotations are xored straight into it by one ufunc per segment between
+    rotations are xored straight into it by one ufunc per piece between
     their cuts (a lone one is copied), later terms are xored in, and c0
     once per block when it is nonzero.  For odd p the base-p digits of c0
-    and the terms are summed per block in an (R, M, k) buffer whose unsigned
+    and the terms are summed per block in an (R, W, k) buffer whose unsigned
     dtype is the least that holds the sum, reduced mod p, and folded into
     the values by Horner, one digit column at a time.  Besides the tables
     (and the digit matrix for odd p), a call holds these buffers alone.
@@ -150,10 +168,10 @@ def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
     dig = brute_force_tables(ctx, brute_bound)
     m, Q, M = ctx.order - 1, ctx._Q, ctx._M
     rows, log = ctx._exp.reshape(Q, M), ctx._log
-    R = min(Q, max(1, _BLOCK // M))
+    R, W = min(Q, max(1, _BLOCK // M)), min(M, _BLOCK)
     c0 = terms.get(0, 0)
 
-    # per term: s0 and r0 per row, and the in-row index j·s mod M unless a rotation
+    # per term: s0 and r0 per row, and j mod M unless a rotation
     r_all = np.arange(Q, dtype=np.int64)
     rotations, gathers = [], []
     for j, c in terms.items():
@@ -162,63 +180,62 @@ def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
             if (j - 1) % M == 0:
                 rotations.append((s0.tolist(), r0.tolist()))
             else:
-                gathers.append((np.arange(M, dtype=np.int64) * (j % M) % M,
-                                s0.tolist(), r0.tolist()))
+                gathers.append((j % M, s0.tolist(), r0.tolist()))
 
     # numpy casts an index array of any other dtype to intp before it scatters
-    buf = np.empty((R, M), dtype=np.intp)
+    buf = np.empty((R, W), dtype=np.intp)
     if dig is not None:
         p, k = ctx.p, ctx.deg_over_prime
         # each digit sums c0's and one per term, each below p
-        acc = np.empty((R, M, k), dtype=np.min_scalar_type((len(terms) + 1) * (p - 1)))
-    for lo in range(0, Q, R):
-        nr = min(R, Q - lo)
-        vals = buf[:nr]
-        if dig is None:
-            for i in range(nr):
-                r, row = lo + i, vals[i]
-                rot = [(rows[r0s[r]], s0s[r]) for s0s, r0s in rotations]
-                if len(rot) > 1:
-                    # both rotated rows are contiguous between the cuts M - a and M - b
-                    (A, a), (B, b) = rot[:2]
-                    start = 0
-                    for hi in sorted((M - a, M - b, M)):
-                        if hi > start:
-                            ia, ib = (start + a) % M, (start + b) % M
+        acc = np.empty((R, W, k), dtype=np.min_scalar_type((len(terms) + 1) * (p - 1)))
+    for c in range(0, M, W):
+        w = min(W, M - c)
+        # the in-row index j·s mod M of each gather, over this segment
+        idxs = [np.arange(c, c + w, dtype=np.int64) * jm % M for jm, _, _ in gathers]
+        for lo in range(0, Q, R):
+            nr = min(R, Q - lo)
+            vals = buf[:nr, :w]
+            if dig is None:
+                for i in range(nr):
+                    r, row = lo + i, vals[i]
+                    rot = [(rows[r0s[r]], (s0s[r] + c) % M) for s0s, r0s in rotations]
+                    if len(rot) > 1:
+                        (A, a), (B, b) = rot[:2]
+                        for start, hi, (ia, ib) in _cuts([a, b], w, M):
                             np.bitwise_xor(A[ia:ia + hi - start], B[ib:ib + hi - start],
                                            out=row[start:hi])
-                            start = hi
-                elif rot:
-                    (A, a), = rot
-                    row[:M - a] = A[a:]
-                    row[M - a:] = A[:a]
-                else:
-                    row[:] = 0
-                for src, s0 in rot[2:]:
-                    row[:M - s0] ^= src[s0:]
-                    row[M - s0:] ^= src[:s0]
-                for idx, s0s, r0s in gathers:
-                    row ^= rows[r0s[r]].take(idx + s0s[r], mode="wrap")
-            if c0:
-                vals ^= c0
-        else:
-            digs = acc[:nr]
-            digs[:] = dig[c0]
-            for i in range(nr):
-                r, row = lo + i, digs[i]
-                for s0s, r0s in rotations:
-                    src, s0 = rows[r0s[r]], s0s[r]
-                    row[:M - s0] += dig.take(src[s0:], axis=0)
-                    row[M - s0:] += dig.take(src[:s0], axis=0)
-                for idx, s0s, r0s in gathers:
-                    row += dig.take(rows[r0s[r]].take(idx + s0s[r], mode="wrap"), axis=0)
-            digs %= p
-            digits, flat = digs.reshape(nr * M, k), vals.reshape(nr * M)
-            flat[:] = digits[:, k - 1]
-            for i in range(k - 2, -1, -1):
-                flat *= p
-                flat += digits[:, i]
-        yield vals
+                    elif rot:
+                        (A, a), = rot
+                        for start, hi, (ia,) in _cuts([a], w, M):
+                            row[start:hi] = A[ia:ia + hi - start]
+                    else:
+                        row[:] = 0
+                    for src, x in rot[2:]:
+                        for start, hi, (ia,) in _cuts([x], w, M):
+                            row[start:hi] ^= src[ia:ia + hi - start]
+                    for idx, (_, s0s, r0s) in zip(idxs, gathers):
+                        row ^= rows[r0s[r]].take(idx + s0s[r], mode="wrap")
+                if c0:
+                    vals ^= c0
+            else:
+                digs = acc[:nr, :w]
+                digs[:] = dig[c0]
+                for i in range(nr):
+                    r, row = lo + i, digs[i]
+                    for s0s, r0s in rotations:
+                        src = rows[r0s[r]]
+                        for start, hi, (ia,) in _cuts([(s0s[r] + c) % M], w, M):
+                            row[start:hi] += dig.take(src[ia:ia + hi - start], axis=0)
+                    for idx, (_, s0s, r0s) in zip(idxs, gathers):
+                        row += dig.take(rows[r0s[r]].take(idx + s0s[r], mode="wrap"), axis=0)
+                digs %= p
+                # a block is whole rows or a prefix of one row, so both views are flat
+                digits, flat = digs.reshape(nr * w, k), vals.reshape(nr * w)
+                flat[:] = digits[:, k - 1]
+                for i in range(k - 2, -1, -1):
+                    flat *= p
+                    flat += digits[:, i]
+            yield vals
 
 
 def _eval_all_sparse(ctx: Context, terms: dict, brute_bound: int) -> np.ndarray:

@@ -451,29 +451,31 @@ class Context:
     def _exp_by_doubling(self, arr: np.ndarray, c: int) -> None:
         """arr[i] = c^i·arr[0] along the first axis in characteristic 2, arr[0] given.
 
-        Multiplication by c^L is GF(2)-linear on the bit encoding, so
-        arr[f:f + L] = c^L·arr[f - L:f] is an xor of one 256-entry lookup
-        table per byte of the encoding, each built from the images of its 8
-        bits.  L doubles with the filled prefix f up to _BLOCK elements.
+        Multiplication by c^L is GF(2)-linear on the k-bit encoding, so
+        arr[f:f + L] = c^L·arr[f - L:f] is the xor of two lookups: one table
+        for the low h = ceil(k/2) bits and one for the high k - h bits (at
+        most 2^13 entries each, as k <= 26), each built from the images of
+        its bits.  L doubles with the filled prefix f up to _BLOCK elements,
+        so every temporary of a step is at most _BLOCK elements.
         """
         import numpy as np
         k, n = self.deg_over_prime, len(arr)
+        h = (k + 1) // 2
         cap = max(1, _BLOCK // arr[0].size)
-        tables: dict = {}
-        filled = 1
+        filled, built = 1, 0
         while filled < n:
             take = min(filled, cap, n - filled)
-            if take not in tables:
-                c_l, tables[take] = self.pow_(c, take), []
-                for lo in range(0, k, 8):
-                    table = np.zeros(256, dtype=np.int32)
-                    for t in range(min(8, k - lo)):
+            if take != built:
+                c_l, built, tables = self.pow_(c, take), take, []
+                for lo, bits in ((0, h), (h, k - h)):
+                    table = np.zeros(1 << bits, dtype=np.int32)
+                    for t in range(bits):
                         table[1 << t:2 << t] = table[:1 << t] ^ self.mul(c_l, 1 << (lo + t))
-                    tables[take].append(table)
+                    tables.append(table)
             src, dst = arr[filled - take:filled], arr[filled:filled + take]
-            dst[...] = 0
-            for i, table in enumerate(tables[take]):
-                dst ^= table[(src >> 8 * i) & 255]
+            # every index is in range; a mode other than "raise" writes dst unbuffered
+            np.take(tables[0], src & ((1 << h) - 1), out=dst, mode="clip")
+            dst ^= tables[1][src >> h]
             filled += take
 
     def digit_matrix(self) -> np.ndarray:

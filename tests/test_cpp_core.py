@@ -280,19 +280,25 @@ class TestRowLayout:
                         acc = ctx.add(acc, ctx._mul_slow(c, pw[i * j % m]))
                 return acc
 
-            # one block of all rows, and blocks of two rows, the last one short
-            # where Q is odd
-            for block in (cpp_core._BLOCK, 2 * M + 1):
+            want = [value(i) for i in range(m)]
+
+            # one block of all rows; blocks of two rows, the last one short
+            # where Q is odd; and blocks of part of a row, whose segments
+            # cut the rotations at other places than the row ends do
+            for block in (cpp_core._BLOCK, 2 * M + 1, M // 2 + 1, 5):
                 monkeypatch.setattr(cpp_core, "_BLOCK", block)
-                rows = 0
-                for vals in _eval_blocks(ctx, terms, gf.DEFAULT_BRUTE_BOUND):
-                    assert vals.shape[1] == M
-                    lo, rows = rows, rows + len(vals)
-                    want = [value(Q * s + r) for r in range(lo, rows) for s in range(M)]
-                    assert vals.ravel().tolist() == want
-                assert rows == Q
+                W, R = min(M, block), min(Q, max(1, block // M))
+                blocks = _eval_blocks(ctx, terms, gf.DEFAULT_BRUTE_BOUND)
+                for c in range(0, M, W):
+                    for lo in range(0, Q, R):
+                        vals = next(blocks)
+                        nr, w = min(R, Q - lo), min(W, M - c)
+                        assert vals.shape == (nr, w)
+                        assert vals.ravel().tolist() == [
+                            want[Q * (c + s) + r] for r in range(lo, lo + nr) for s in range(w)]
+                assert next(blocks, None) is None
                 cover = _eval_all_sparse(ctx, terms, gf.DEFAULT_BRUTE_BOUND)
-                assert set(np.flatnonzero(cover)) == {value(i) for i in range(m)} | {terms[0]}
+                assert set(np.flatnonzero(cover)) == set(want) | {terms[0]}
 
     # number of units b for which b^(-1) x^d is a complete permutation monomial
     @pytest.mark.parametrize("base, n, count", [
@@ -361,17 +367,26 @@ class TestKernelMemory:
         assert t._exp.nbytes + t._log.nbytes <= 8 * t.order
 
     @pytest.mark.parametrize("base, n", [((3, 1), 12), ((3, 2), 6)])
-    def test_odd_p_warm_brute_force_peaks_below_40_bytes_per_element(self, base, n):
+    def test_odd_p_warm_brute_force_peaks_below_6_bytes_per_element(self, base, n):
         # the digit sums of one block are folded into its values by Horner,
-        # one column at a time.  A block is at least one whole row: GF(3^12)
-        # over GF(3) has two of 265,720 elements (about 21 bytes per element
-        # at the peak), GF((3^2)^6) eight of 66,430 (about 6); the bounds are
-        # the peaks of evaluating all values of the field at once
+        # one column at a time, and a block has at most 2^16 elements even
+        # where a row is longer: GF(3^12) over GF(3) has two rows of 265,720,
+        # GF((3^2)^6) eight of 66,430, and both peak at about 5.9 bytes per
+        # element (21 and 6 when a block held at least one whole row)
         t = mk_tower(mk_field(*base), n)
         assert math.gcd(cpp_exponent(t), t.order - 1) == 1
         is_cpp_monomial(5, t)
-        bound = {12: 30, 6: 22.5}[n]
-        assert _peak_bytes(lambda: is_cpp_monomial(5, t)) < bound * t.order
+        assert _peak_bytes(lambda: is_cpp_monomial(5, t)) < 6 * t.order
+
+    @pytest.mark.parametrize("j, bound", [(1, 2), (32, 3.5)])
+    def test_field_of_one_long_row_peaks_by_the_block(self, j, bound):
+        # GF(2^20) as a field is one row of 2^20 - 1 units; x is a rotation
+        # of it (1.5 bytes per element at the peak, 9 when the block was the
+        # whole row) and x^32 a gather (3.0, against 29)
+        F = mk_field(2, 20)
+        f = Poly.x(F) ** j
+        assert is_permutation(f, F)
+        assert _peak_bytes(lambda: is_permutation(f, F)) < bound * F.order
 
 
 class TestGoodness:

@@ -298,8 +298,9 @@ class TestArith:
 
     def test_char2_tables_follow_gamma(self):
         # the doubled xor tables against one table-free step per entry,
-        # gamma^e read at its index in the coset rows
-        for ctx in char2_contexts():
+        # gamma^e read at its index in the coset rows; past 2^12, odd k
+        # splits the encoding into uneven halves (7 + 6, 8 + 7 bits)
+        for ctx in char2_contexts() + [mk_field(2, 13), mk_tower(mk_field(2, 3), 5)]:
             ctx.ensure_tables()
             exp, log, g, at = ctx._exp, ctx._log, ctx.primitive_element(), ctx._exp_index
             m = ctx.order - 1
@@ -308,12 +309,13 @@ class TestArith:
                 assert ctx._mul_slow(int(exp[at(i)]), g) == (exp[at(i + 1)] if i + 1 < m else 1)
                 assert log[exp[at(i)]] == i
 
-    @pytest.mark.parametrize("p, m, n", [(2, 20, None), (2, 5, 4), (2, 10, 2),
-                                         (3, 9, None), (3, 2, 6), (5, 1, 7)])
+    @pytest.mark.parametrize("p, m, n", [(2, 20, None), (2, 5, 4), (2, 10, 2), (2, 7, 3),
+                                         (2, 17, None), (3, 9, None), (3, 2, 6), (5, 1, 7)])
     def test_large_tables_follow_gamma(self, p, m, n):
         # past the blocks of the doubling (2^16 elements) and the 4096-column
         # chunks of the digit matrices, sampled, with exponents next to their
-        # seams; exp holds every unit once and log inverts it
+        # seams; exp holds every unit once and log inverts it.  Odd k (21, 17)
+        # splits the encoding into uneven halves
         ctx = mk_field(p, m) if n is None else mk_tower(mk_field(p, m), n)
         ctx.ensure_tables()
         exp, log, g, at = ctx._exp, ctx._log, ctx.primitive_element(), ctx._exp_index
