@@ -23,11 +23,11 @@ whole goodness class; verify rebuilds G_b from each stored b
 WitnessCriterionFailure, and the passed ones count in verifiedCpp.  The
 brute force (cpp_core.is_cpp_monomial) decides nothing; it cross-checks
 the gate wherever the tower fits gf.DEFAULT_BRUTE_BOUND (2^24, a constant,
-not an option) and the tables, under two policies: scan brute-forces the
-first witness of each class in a chunk, verify every witness.  A
-disagreement is a CrossCheckDisagreement.  counts.witnessClasses and
-counts.crossCheckedClasses of a scan are the distinct class keys with
-witnesses and with a completed brute force.
+not an option), under two policies: scan brute-forces the first witness of
+each class in a chunk, verify every witness.  A disagreement is a
+CrossCheckDisagreement.  counts.witnessClasses and counts.crossCheckedClasses
+of a scan are the distinct class keys with witnesses and with a completed
+brute force, counts.crossChecked of a verify the witnesses with one.
 
 A scan builds each family item in the process that checks it, right before
 its check, through one function, _scan_chunk, whatever the worker count.
@@ -37,16 +37,16 @@ each process draws its chunk's items from enumerate_family one at a time and
 checks each with _scan_item before building the next.  Building an item
 decides its family's verdict over GF(q); the scan owns the tower, and the
 roots that A1, A2 and B predict are expressed in it only for an item whose
-witnesses are there to compare them with.  The first item with witnesses
-in a process builds the tower's exp/log tables there, where the tower fits
-the brute force that cross-checks it, before it locates its root, so root
-location and the root comparisons use tabled tower multiplication from the
-first witness on.  With --workers k > 1 the parent builds no item and no
-table, but imports numpy (which only tables need, and every witness verdict
-needs tables of GF(q) at least) when a tower is given, so the forked
-workers share that import.  Results are merged in
-enumeration order.  An exception other than FieldError while building or
-checking one item becomes an internalErrors record and the scan goes on.  goodness runs once per
+witnesses are there to compare them with.  The first item with witnesses in
+a process builds the tower's exp/log tables there, in either characteristic
+wherever the tower fits gf.DEFAULT_BRUTE_BOUND, before it locates its root,
+so root location and the root comparisons use tabled tower multiplication
+from the first witness on.  With --workers k > 1 the parent builds no item
+and no table, but imports numpy (which only tables need, and every witness
+verdict needs tables of GF(q) at least) when a tower is given, so the forked
+workers share that import.  Results are merged in enumeration order.  An
+exception other than FieldError while building or checking one item becomes
+an internalErrors record and the scan goes on.  goodness runs once per
 equivalence class in each chunk (cpp_core.goodness_class: g up to c·g(c'x)
 and the coefficient Frobenius); the other items of the class reuse its
 verdict.
@@ -143,9 +143,9 @@ def _verdict_failures(witnesses: list) -> list:
 
 def _cross_check(w: CppWitness) -> Optional[list]:
     """Brute-force w's verdict: None where its tower is past
-    gf.DEFAULT_BRUTE_BOUND (read at each call) or a table cap, else the
-    CrossCheckDisagreement records, none or one, of w against
-    cpp_core.is_cpp_monomial."""
+    gf.DEFAULT_BRUTE_BOUND (read at each call) or the brute force raises
+    FieldTooLarge, else the CrossCheckDisagreement records, none or one, of
+    w against cpp_core.is_cpp_monomial."""
     if w.tower.order > gf.DEFAULT_BRUTE_BOUND:
         return None
     try:
@@ -182,9 +182,9 @@ def _scan_item(item, tower, verdicts: dict, checked: set) -> dict:
     checked in this chunk.  The first item with witnesses of any other
     class cross-checks its first witness (_cross_check), as the last step,
     so that the key is added only when the item returns; where the tower is
-    past the brute bound or a table cap, the class stays unchecked.  The
-    result of an item with witnesses carries its class key ("class"), and
-    "crossChecked" when it ran the brute force.
+    past the brute bound, the class stays unchecked.  The result of an item
+    with witnesses carries its class key ("class"), and "crossChecked" when
+    it ran the brute force.
     """
     if isinstance(item, FamilySkip):
         return {"skip": {"params": item.params.params, "reason": item.reason}}
@@ -208,10 +208,10 @@ def _scan_item(item, tower, verdicts: dict, checked: set) -> dict:
     # also makes the orbit size divide n, since v_g = c f^(n/s)
     if not rep.is_good or tower is None or item.g.degree != tower.n + 1:
         return out
-    # the cross-check below builds these tables where the tower fits;
+    # the cross-check below builds the exp/log tables where the tower fits;
     # built first, they carry the tower multiplications of one_root
     try:
-        cpp_core.brute_force_tables(tower, gf.DEFAULT_BRUTE_BOUND)
+        tower.ensure_tables(gf.DEFAULT_BRUTE_BOUND)
     except FieldTooLarge:
         pass
     ws = witnesses_from_good(item.g, tower, family=item.params.tag,
@@ -334,7 +334,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
 
 def verify_witness_file(path: str) -> ScanReport:
     """Decide each stored witness again by criterion_verdict, and cross-check
-    every one whose tower fits the brute force (_cross_check).
+    every one whose tower fits the brute force (_cross_check); counts the
+    cross-checks that ran in counts.crossChecked.
 
     Every witness that parses is listed, counted and reported with the rule
     and verdict computed here, not those stored.  An unparsable record is a
@@ -354,7 +355,7 @@ def verify_witness_file(path: str) -> ScanReport:
         records = obj.get("witnesses") if isinstance(obj, dict) else obj
         if not isinstance(records, list):
             raise ValueError(f"{path}: the witnesses are not a JSON list")
-    mismatches, witnesses = [], []
+    mismatches, witnesses, cross_checked = [], [], 0
     for rec in records:
         try:
             w = parse(rec)
@@ -368,11 +369,14 @@ def verify_witness_file(path: str) -> ScanReport:
         verified, passed = criterion_verdict(w.b, w.tower)
         w = replace(w, verified=verified, passed=passed)
         witnesses.append(w)
-        mismatches += _verdict_failures([w]) + (_cross_check(w) or [])
+        checks = _cross_check(w)
+        cross_checked += checks is not None
+        mismatches += _verdict_failures([w]) + (checks or [])
     return ScanReport(
         config={"command": "verify", "path": path},
         counts={"constructed": len(witnesses), "predictedGood": 0,
-                "refuted": 0, "skipped": 0, **_cpp_counts(witnesses)},
+                "refuted": 0, "skipped": 0, **_cpp_counts(witnesses),
+                "crossChecked": cross_checked},
         witnesses=witnesses,
         mismatches=mismatches,
         skips=[],

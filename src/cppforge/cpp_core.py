@@ -17,10 +17,9 @@ single Frobenius orbit; such g are called good.  This module provides:
   field: the units are laid out in rows by the cosets of the units of the
   base field, the order in which the int32 exp table is stored, so each term
   of b^(-1) x^d + x is a rotation of one of its rows.  The values are made a
-  block of whole rows at a time, each row written once (in characteristic 2
-  both rotations are xored into it by one ufunc per segment), and each block
-  is scattered into a bool cover of the field before the next is made; the
-  map permutes the field iff the cover is full;
+  block of at most _BLOCK elements at a time and scattered into a bool
+  cover of the field before the next is made; the map permutes the field
+  iff the cover is full.  Nothing but the exp/log tables is kept;
 * the CPM verdict of a witness b, the only one the package gives: the gate
   (`gate`) that gcd(d, q^n - 1) = 1 and a polynomial G over GF(q) permutes
   GF(q), evaluated over GF(q) alone, and `criterion_verdict`, the gate on
@@ -108,19 +107,6 @@ def v_poly(g: Poly) -> Poly:
 # vectorised full-field evaluation
 
 
-def brute_force_tables(ctx: Context, brute_bound: int) -> Optional[np.ndarray]:
-    """Build the tables a brute force over ctx reads; returns the digit matrix for odd p.
-
-    Raises FieldTooLarge past brute_bound or a table cap, before building
-    anything: odd p needs the digit matrix, whose cap is checked first.
-    """
-    if ctx.order > brute_bound:
-        raise FieldTooLarge(f"|F| = {ctx.order} exceeds brute bound {brute_bound}")
-    dig = ctx.digit_matrix() if ctx.p != 2 else None
-    ctx.ensure_tables(brute_bound)
-    return dig
-
-
 def _cuts(shifts: list, w: int, M: int):
     """The pieces [lo, hi) of [0, w) inside which no (x + t) mod M wraps, x in shifts.
 
@@ -158,14 +144,20 @@ def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
     In characteristic 2 each row of a block is written once: the first two
     rotations are xored straight into it by one ufunc per piece between
     their cuts (a lone one is copied), later terms are xored in, and c0
-    once per block when it is nonzero.  For odd p the base-p digits of c0
-    and the terms are summed per block in an (R, W, k) buffer whose unsigned
-    dtype is the least that holds the sum, reduced mod p, and folded into
-    the values by Horner, one digit column at a time.  Besides the tables
-    (and the digit matrix for odd p), a call holds these buffers alone.
+    once per block when it is nonzero.  For odd p the k base-p digits of c0
+    and the terms are summed per block, reduced mod p and folded into the
+    values by Horner.  With P = p^h, h = ceil(k/2), e = (e mod P) + P·(e div P)
+    has the digits of e mod P, then those of e div P: two rows of `half`, the
+    digits of 0 .. P - 1, built per call, each summed into one of two
+    (R, W, h) planes of the least unsigned dtype that holds the sum.  For
+    k = 1 e is its own digit (one int64 plane, no table).  Besides the
+    exp/log tables, a call holds `half` and these buffers alone.
     """
     import numpy as np
-    dig = brute_force_tables(ctx, brute_bound)
+    # ensure_tables returns at once where the tables exist, whatever the bound
+    if ctx.order > brute_bound:
+        raise FieldTooLarge(f"|F| = {ctx.order} exceeds brute bound {brute_bound}")
+    ctx.ensure_tables(brute_bound)
     m, Q, M = ctx.order - 1, ctx._Q, ctx._M
     rows, log = ctx._exp.reshape(Q, M), ctx._log
     R, W = min(Q, max(1, _BLOCK // M)), min(M, _BLOCK)
@@ -184,10 +176,26 @@ def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
 
     # numpy casts an index array of any other dtype to intp before it scatters
     buf = np.empty((R, W), dtype=np.intp)
-    if dig is not None:
+    if ctx.p != 2:
         p, k = ctx.p, ctx.deg_over_prime
-        # each digit sums c0's and one per term, each below p
-        acc = np.empty((R, W, k), dtype=np.min_scalar_type((len(terms) + 1) * (p - 1)))
+        h = (k + 1) // 2
+        P = p ** h
+        if k > 1:
+            # the top digit of e // P is 0 for odd k
+            half = (np.arange(P)[:, None] // p ** np.arange(h) % p).astype(
+                np.min_scalar_type(p - 1))
+            parts = (lambda e: half.take(e % P, axis=0), lambda e: half.take(e // P, axis=0))
+            # each digit sums c0's and one per term, each below p
+            dtype = np.min_scalar_type((len(terms) + 1) * (p - 1))
+        else:
+            parts, dtype = (lambda e: e[:, None],), np.int64
+        acc = np.empty((len(parts), R, W, h), dtype=dtype)
+        c0_digits = np.stack([part(np.array([c0])) for part in parts])[:, None]
+
+        def add_digits(i, start, hi, e):
+            # one part at a time, so a term holds one lookup
+            for plane, part in zip(acc, parts):
+                plane[i, start:hi] += part(e)
     for c in range(0, M, W):
         w = min(W, M - c)
         # the in-row index j·s mod M of each gather, over this segment
@@ -195,7 +203,7 @@ def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
         for lo in range(0, Q, R):
             nr = min(R, Q - lo)
             vals = buf[:nr, :w]
-            if dig is None:
+            if ctx.p == 2:
                 for i in range(nr):
                     r, row = lo + i, vals[i]
                     rot = [(rows[r0s[r]], (s0s[r] + c) % M) for s0s, r0s in rotations]
@@ -218,23 +226,22 @@ def _eval_blocks(ctx: Context, terms: dict, brute_bound: int):
                 if c0:
                     vals ^= c0
             else:
-                digs = acc[:nr, :w]
-                digs[:] = dig[c0]
+                digs = acc[:, :nr, :w]
+                digs[:] = c0_digits
                 for i in range(nr):
-                    r, row = lo + i, digs[i]
+                    r = lo + i
                     for s0s, r0s in rotations:
                         src = rows[r0s[r]]
                         for start, hi, (ia,) in _cuts([(s0s[r] + c) % M], w, M):
-                            row[start:hi] += dig.take(src[ia:ia + hi - start], axis=0)
+                            add_digits(i, start, hi, src[ia:ia + hi - start])
                     for idx, (_, s0s, r0s) in zip(idxs, gathers):
-                        row += dig.take(rows[r0s[r]].take(idx + s0s[r], mode="wrap"), axis=0)
+                        add_digits(i, 0, w, rows[r0s[r]].take(idx + s0s[r], mode="wrap"))
                 digs %= p
-                # a block is whole rows or a prefix of one row, so both views are flat
-                digits, flat = digs.reshape(nr * w, k), vals.reshape(nr * w)
-                flat[:] = digits[:, k - 1]
+                # digit i of the values is column i % h of plane i // h
+                vals[:] = digs[(k - 1) // h, :, :, (k - 1) % h]
                 for i in range(k - 2, -1, -1):
-                    flat *= p
-                    flat += digits[:, i]
+                    vals *= p
+                    vals += digs[i // h, :, :, i % h]
             yield vals
 
 
@@ -280,8 +287,7 @@ def is_cpp_monomial(b, tower: Tower) -> bool:
 
     d is the reduced exponent (q^n - 1)/(q - 1) + 1.  True iff
     gcd(d, q^n - 1) = 1 and x -> b^(-1) x^d + x is injective on the tower.
-    Past DEFAULT_BRUTE_BOUND or a table cap, raises FieldTooLarge after the
-    gcd.
+    Past DEFAULT_BRUTE_BOUND, raises FieldTooLarge after the gcd.
     """
     bval = as_int(b)
     if isinstance(b, FqElem) and b.ctx is not tower:
@@ -446,9 +452,10 @@ def gate(g: Poly, tower: Tower) -> tuple:
     for c, c' in GF(q)* permutes GF(q) iff g does, as x -> c'x and y -> c·y
     are bijections; so does g^tau for the coefficient Frobenius
     tau: a -> a^p, as g^tau = tau∘g∘tau^(-1); and the gcd involves only the
-    tower.  g is evaluated up to HARD_BRUTE_CAP, the table cap of GF(q);
-    past it (only for n = 1 or a raised field bound) the verdict is
-    (VERIFIED_CRITERION, None).  No tower element is enumerated.
+    tower.  g is evaluated up to HARD_BRUTE_CAP, the table cap of GF(q), in
+    either characteristic; past it (only for n = 1 or a raised field bound)
+    the verdict is (VERIFIED_CRITERION, None).  No tower element is
+    enumerated.
     """
     if math.gcd(cpp_exponent(tower), tower.order - 1) != 1:
         return VERIFIED_PERMUTATION, False

@@ -51,7 +51,6 @@ if HARD_BRUTE_CAP >= 1 << 31:
     raise ImportError("HARD_BRUTE_CAP must stay below 2^31: the exp/log tables are int32")
 _ROW_BOUND = 512         # dense op rows for fields up to this order
 _BLOCK = 1 << 16         # elements per numpy step of a table build or a brute force
-_DIGIT_CACHE_BOUND = 1 << 21  # per-encoding digit matrix cache bound
 
 
 class FieldError(Exception):
@@ -202,7 +201,6 @@ class Context:
     _log: Optional[np.ndarray] = None
     _log_list: Optional[list] = None       # log as a list: Fq.build_rows, goodness_class
     _exp_list: Optional[list] = None       # exp as a list: Fq.build_rows only
-    _digmat: Optional[np.ndarray] = None
     _primitive: Optional[int] = None
     # dense op rows, built by Fq.build_rows for small fields only
     _mul_rows: Optional[list] = None
@@ -477,25 +475,6 @@ class Context:
             np.take(tables[0], src & ((1 << h) - 1), out=dst, mode="clip")
             dst ^= tables[1][src >> h]
             filled += take
-
-    def digit_matrix(self) -> np.ndarray:
-        """(order, deg_over_prime) matrix of base-p digits per encoding.
-
-        Its dtype is the least unsigned one that holds p - 1: one byte up to
-        p = 256 (a signed byte would wrap digits of p >= 131).
-        """
-        if self._digmat is None:
-            if self.order > _DIGIT_CACHE_BOUND:
-                raise FieldTooLarge("digit matrix too large to materialise")
-            import numpy as np
-            p, k = self.p, self.deg_over_prime
-            a = np.arange(self.order, dtype=np.int64)
-            dig = np.empty((self.order, k), dtype=np.min_scalar_type(p - 1))
-            for i in range(k):
-                dig[:, i] = a % p
-                a //= p
-            self._digmat = dig
-        return self._digmat
 
 
 def _mat_pow_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:

@@ -427,7 +427,22 @@ class TestWitnessFileRoundTrip:
         assert failures(report) == failures(scan)
         assert [m["kind"] for m in report["mismatches"]] == failures(report)
         # every witness fits the brute bound, so each is cross-checked once
-        assert len(calls) == witnesses
+        assert len(calls) == report["counts"]["crossChecked"] == witnesses
+
+    def test_verify_counts_no_cross_check_past_the_brute_bound(self, tmp_path, monkeypatch):
+        # GF(5^4) has 625 elements: below the bound every witness is
+        # brute-forced, above it none, and the verdicts stay the gate's
+        scanned = tmp_path / "witnesses.json"
+        assert main(["scan", "--family", "B", "--p", "5", "--n", "4",
+                     "--out", str(scanned)]) == 0
+        reports = []
+        for bound in (gf.DEFAULT_BRUTE_BOUND, 5 ** 4 - 1):
+            monkeypatch.setattr(gf, "DEFAULT_BRUTE_BOUND", bound)
+            verified = tmp_path / f"verify-{bound}.json"
+            assert main(["verify", str(scanned), "--out", str(verified)]) == 0
+            reports.append(json.loads(verified.read_text()))
+        assert [r["counts"]["crossChecked"] for r in reports] == [76, 0]
+        assert reports[0]["witnesses"] == reports[1]["witnesses"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_scan_then_verify(self, tmp_path, fmt):

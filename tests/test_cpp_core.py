@@ -124,6 +124,18 @@ class TestPermutationOracles:
             assert is_permutation(f) == want
         assert is_permutation(Poly.x(F) ** 3)
 
+    def test_odd_p_past_2_21_at_the_hard_cap(self, monkeypatch):
+        # gate evaluates g over GF(q) at HARD_BRUTE_CAP; 3^14 - 1 = 8·547·1093,
+        # so x^5 permutes GF(3^14) and x^2 does not.  The tables are dropped
+        # when the test ends.
+        F = mk_field(3, 14)
+        assert 1 << 21 < F.order <= gf.HARD_BRUTE_CAP
+        for name in ("_exp", "_log"):
+            monkeypatch.setattr(F, name, None)
+        for e, want in ((5, True), (2, False)):
+            assert math.gcd(e, F.order - 1) == (1 if want else 2)
+            assert is_permutation(Poly.x(F) ** e, brute_bound=gf.HARD_BRUTE_CAP) is want
+
     def test_tower_over_a_prime_past_a_signed_byte(self):
         # GF(137^2): two base-137 digits per element
         t = mk_tower(mk_field(137, 1), 2)
@@ -233,6 +245,16 @@ class TestCppVerdict:
         assert criterion_verdict(1, T25) == ("Permutation", False)
         assert is_cpp_monomial(9, T25) and not is_cpp_monomial(1, T25)
 
+    def test_brute_force_past_2_21_agrees_with_the_criterion(self, monkeypatch):
+        # GF(5^10) has 9,765,625 elements, within DEFAULT_BRUTE_BOUND; the
+        # brute force needs no table of the field beyond exp and log, which
+        # are dropped when the test ends
+        t = mk_tower(F5, 10)
+        assert 1 << 21 < t.order <= gf.DEFAULT_BRUTE_BOUND
+        for name in ("_exp", "_log"):
+            monkeypatch.setattr(t, name, None)
+        assert is_cpp_monomial(7, t) == criterion_verdict(7, t)[1]
+
     def test_criterion_only_past_the_tables_of_gf_q(self, monkeypatch):
         # n = 1 (d = 2, coprime to q - 1 for even q only): the tower is GF(q)
         # itself, so with GF(16) over the table cap G_b cannot be evaluated,
@@ -252,8 +274,11 @@ class TestRowLayout:
     """_eval_blocks lays the units out by cosets of the index-Q subgroup."""
 
     # towers of degree > 1 have Q = q - 1; fields and degree-1 towers have Q = 1
+    # for odd p, GF(3^5) and GF(5^3) split k into uneven digit halves, and
+    # GF(7) (k = 1) sums its encodings with no digit table
     CONTEXTS = [((2, 2), 3), ((2, 3), 2), ((2, 5), 2), ((5, 1), 2), ((3, 2), 2),
-                ((3, 1), 4), ((2, 7), None), ((7, 2), None), ((2, 4), 1)]
+                ((3, 1), 4), ((2, 7), None), ((7, 2), None), ((2, 4), 1),
+                ((3, 1), 5), ((5, 3), None), ((7, 1), None)]
 
     @pytest.mark.parametrize("base, n", CONTEXTS)
     def test_pointwise_against_slow_arithmetic(self, monkeypatch, base, n):
@@ -365,6 +390,20 @@ class TestKernelMemory:
         t = mk_tower(mk_field(2, 5), 4)
         is_cpp_monomial(7, t)
         assert t._exp.nbytes + t._log.nbytes <= 8 * t.order
+
+    def test_odd_p_brute_force_peaks(self, monkeypatch):
+        # as in characteristic 2, the first brute force after the tables are
+        # built and a later one each add the bool cover, one block and a
+        # digit table of 3^6 rows; no digit matrix of the field is built
+        t = mk_tower(F3, 12)
+        assert math.gcd(cpp_exponent(t), t.order - 1) == 1
+        for name in ("_exp", "_log"):
+            monkeypatch.setattr(t, name, None)
+        t.ensure_tables()
+        cold = _peak_bytes(lambda: is_cpp_monomial(5, t))
+        warm = _peak_bytes(lambda: is_cpp_monomial(5, t))
+        assert cold < 6 * t.order
+        assert warm < 6 * t.order
 
     @pytest.mark.parametrize("base, n", [((3, 1), 12), ((3, 2), 6)])
     def test_odd_p_warm_brute_force_peaks_below_6_bytes_per_element(self, base, n):
@@ -570,14 +609,13 @@ class TestWitnesses:
             assert is_cpp_monomial(w.b, t4) == w.passed
 
     def test_brute_force_over_its_table_cap_is_decided_by_the_criterion(self, monkeypatch):
-        # odd-p brute force needs the digit matrix; over its cap the criterion
-        # decides: b^2 = 3 and b^5 = -b, so the conjugates are b, -b, b, -b and
+        # with the brute bound below the tower the criterion still decides:
+        # b^2 = 3 and b^5 = -b, so the conjugates are b, -b, b, -b and
         # G_b = t (t^2 - b^2)^2 = g, which permutes GF(5) (0, 4, 2, 3, 1 at
         # 0..4); gcd(157, 624) = 1
         g = Poly(F5, [0, 4, 0, 4, 0, 1])
         t4 = mk_tower(F5, 4)
-        monkeypatch.setattr(t4, "_digmat", None)
-        monkeypatch.setattr(gf, "_DIGIT_CACHE_BOUND", t4.order - 1)
+        monkeypatch.setattr(cpp_core, "DEFAULT_BRUTE_BOUND", t4.order - 1)
         with pytest.raises(FieldTooLarge):
             is_cpp_monomial(25, t4)
         ws = witnesses_from_good(g, t4)
